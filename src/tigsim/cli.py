@@ -69,12 +69,10 @@ def _write_bytes(path: str | None, blob: bytes):
 
 def cmd_compile(args) -> int:
     try:
-        text = Path(args.pattern).read_text(encoding="utf-8")
+        descriptors = pattern.compile_file(args.pattern)
     except OSError as exc:
         print(f"tigsim: cannot read {args.pattern}: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    try:
-        descriptors = pattern.compile_text(text)
     except pattern.PatternError as exc:
         print(f"tigsim: {args.pattern}: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -51,10 +51,6 @@ class Kind(IntEnum):
     WRITE_FIX = 5
 
     @property
-    def is_access(self) -> bool:
-        return self is not Kind.DELAY
-
-    @property
     def is_fixed(self) -> bool:
         return self in (Kind.READ_FIX, Kind.WRITE_FIX)
 
@@ -73,7 +69,12 @@ class DescriptorError(ValueError):
 
 
 class InvalidDescriptor(DescriptorError):
-    """encode() input violates a field range."""
+    """A descriptor field is unknown, missing, mistyped or out of range;
+    ``field`` names the (first) field at fault."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
 
 
 class InvalidKindCode(DescriptorError):
@@ -120,21 +121,38 @@ class DescriptorWords:
     word1: int
 
 
-def validate(d: Descriptor) -> list[str]:
-    """Return the list of invariant violations (empty when valid)."""
+class Problem(str):
+    """One invariant violation: the message, with ``field`` naming the
+    Descriptor field at fault."""
+
+    field: str
+
+    def __new__(cls, field: str, message: str):
+        problem = super().__new__(cls, message)
+        problem.field = field
+        return problem
+
+
+def validate(d: Descriptor) -> list[Problem]:
+    """Return the list of invariant violations (empty when valid).
+
+    This is the only check of descriptor field ranges; the pattern DSL and
+    inline topology descriptors both report its problems.
+    """
     problems = []
     if not isinstance(d.kind, Kind):
-        problems.append(f"unknown kind: {d.kind!r}")
+        problems.append(Problem("kind", f"unknown kind: {d.kind!r}"))
         return problems
     if not SIZE_MIN <= d.size_bytes <= SIZE_MAX:
-        problems.append(f"size out of range: {d.size_bytes}")
+        problems.append(Problem("size_bytes", f"size out of range: {d.size_bytes}"))
     if not REPS_MIN <= d.reps <= REPS_MAX:
-        problems.append(f"reps out of range: {d.reps}")
+        problems.append(Problem("reps", f"reps out of range: {d.reps}"))
     if not 0 <= d.address <= WORD_MASK:
-        problems.append(f"address out of range: {d.address:#x}")
+        problems.append(Problem("address", f"address out of range: {d.address:#x}"))
     if d.kind is Kind.DELAY:
         if d.delay_cycles is None or not DELAY_MIN <= d.delay_cycles <= DELAY_MAX:
-            problems.append(f"delay out of range: {d.delay_cycles}")
+            problems.append(Problem("delay_cycles",
+                                    f"delay out of range: {d.delay_cycles}"))
     return problems
 
 
@@ -142,7 +160,7 @@ def encode(d: Descriptor) -> DescriptorWords:
     """Pack a valid descriptor; raises InvalidDescriptor otherwise."""
     problems = validate(d)
     if problems:
-        raise InvalidDescriptor("; ".join(problems))
+        raise InvalidDescriptor(problems[0].field, "; ".join(problems))
     word0 = (
         int(d.last)
         | (d.kind.value << _KIND_SHIFT)

@@ -33,7 +33,7 @@ import yaml
 
 from . import descriptors as dm
 from . import pattern as pat
-from .injector import BUFFER_WORDS, CapacityExceeded, Injector
+from .injector import CapacityExceeded, Injector
 from .interconnect import POLICIES, AhbBus, AxiBus, MasterPort, TargetModel
 from .metrics import MasterMetrics, MetricsRecord
 from .trace import TraceRecorder
@@ -123,13 +123,8 @@ class Topology:
                     "role": m.role,
                     "victim": None if m.victim is None else vars(m.victim),
                     "injector": None if m.injector is None else {
-                        "descriptors": [
-                            {"kind": d.kind.name, "address": d.address,
-                             "size_bytes": d.size_bytes, "reps": d.reps,
-                             "last": d.last, "irq_on_done": d.irq_on_done,
-                             "delay_cycles": d.delay_cycles}
-                            for d in m.injector.descriptors
-                        ],
+                        "descriptors": [{**vars(d), "kind": d.kind.name}
+                                        for d in m.injector.descriptors],
                         "ctrl": list(m.injector.ctrl),
                         "program_at": m.injector.program_at,
                         "program_via": m.injector.program_via,
@@ -206,51 +201,23 @@ def _load_victim(raw, path) -> VictimSpec:
     return spec
 
 
-_DESCRIPTOR_KINDS = {
-    "read": dm.Kind.READ,
-    "write": dm.Kind.WRITE,
-    "read_fix": dm.Kind.READ_FIX,
-    "write_fix": dm.Kind.WRITE_FIX,
-    "delay": dm.Kind.DELAY,
-}
-
-
 def _load_inline_descriptors(raw, path) -> list[dm.Descriptor]:
     if not isinstance(raw, list) or not raw:
         raise ConfigError(path, "expected a non-empty list of descriptors")
-    descs = []
-    final = len(raw) - 1
+    statements = []
     for i, entry in enumerate(raw):
         epath = f"{path}[{i}]"
         if not isinstance(entry, dict):
             raise ConfigError(epath, "expected a mapping")
         kind_name = _require(entry, "kind", epath, str, "descriptor kind")
-        if kind_name not in _DESCRIPTOR_KINDS:
+        if kind_name not in pat.KINDS:
             raise ConfigError(f"{epath}.kind", f"unknown kind {kind_name!r}")
-        if "last" in entry:
-            raise ConfigError(f"{epath}.last", "set automatically on the final entry")
-        kind = _DESCRIPTOR_KINDS[kind_name]
-        if kind is dm.Kind.DELAY:
-            desc = dm.Descriptor.delay(
-                _int_field(entry, "delay_cycles", epath, 1),
-                reps=_int_field(entry, "reps", epath, 1, default=1),
-                last=i == final,
-                irq_on_done=bool(entry.get("irq_on_done", False)),
-            )
-        else:
-            desc = dm.Descriptor(
-                kind,
-                address=_int_field(entry, "address", epath, 0),
-                size_bytes=_int_field(entry, "size_bytes", epath, 1, default=4),
-                reps=_int_field(entry, "reps", epath, 1, default=1),
-                last=i == final,
-                irq_on_done=bool(entry.get("irq_on_done", False)),
-            )
-        problems = dm.validate(desc)
-        if problems:
-            raise ConfigError(epath, "; ".join(problems))
-        descs.append(desc)
-    return descs
+        values = {k: v for k, v in entry.items() if k != "kind"}
+        try:
+            statements.append(pat.statement(pat.KINDS[kind_name], values))
+        except dm.InvalidDescriptor as exc:
+            raise ConfigError(f"{epath}.{exc.field}", str(exc)) from None
+    return pat.lower(pat.PatternProgram(tuple(statements)))
 
 
 def _load_injector(raw, path, base_dir: Path) -> InjectorSpec:
@@ -261,7 +228,7 @@ def _load_injector(raw, path, base_dir: Path) -> InjectorSpec:
     if has_pattern == has_inline:
         raise ConfigError(path, "exactly one of 'pattern' or 'descriptors' required")
     if has_pattern:
-        pattern_path = Path(raw["pattern"])
+        pattern_path = Path(_require(raw, "pattern", path, str, "pattern file path"))
         if not pattern_path.is_absolute():
             pattern_path = base_dir / pattern_path
         try:
@@ -272,32 +239,32 @@ def _load_injector(raw, path, base_dir: Path) -> InjectorSpec:
             raise ConfigError(f"{path}.pattern", str(exc)) from exc
     else:
         descs = _load_inline_descriptors(raw["descriptors"], f"{path}.descriptors")
-    if 2 * len(descs) > BUFFER_WORDS:
-        raise CapacityExceeded(
-            f"{len(descs)} descriptors need {2 * len(descs)} words; "
-            f"buffer holds {BUFFER_WORDS}")
 
     ctrl = raw.get("ctrl", ["pipe"])
     if not isinstance(ctrl, list):
         raise ConfigError(f"{path}.ctrl", "expected a list of flag names")
     for flag in ctrl:
-        if flag not in pat.CTRL_FLAG_BITS:
+        if not isinstance(flag, str) or flag not in pat.CTRL_FLAG_BITS:
             raise ConfigError(f"{path}.ctrl", f"unknown flag {flag!r}")
     via = raw.get("program_via", "apb")
     if via not in ("apb", "data_bus"):
         raise ConfigError(f"{path}.program_via", f"expected 'apb' or 'data_bus', got {via!r}")
-    spec = InjectorSpec(
-        descriptors=tuple(descs),
-        ctrl=tuple(ctrl),
-        program_at=_int_field(raw, "program_at", path, 0, default=0),
-        program_via=via,
-        enabled=bool(raw.get("enabled", True)),
-    )
+    enabled = raw.get("enabled", True)
+    if not isinstance(enabled, bool):
+        raise ConfigError(f"{path}.enabled", f"expected a boolean, got {enabled!r}")
     known = {"pattern", "descriptors", "ctrl", "program_at", "program_via", "enabled"}
     for key in raw:
         if key not in known:
             raise ConfigError(f"{path}.{key}", "unknown key")
-    return spec
+    # Raises CapacityExceeded when the program does not fit the buffer.
+    pat.emit_apb_sequence(descs, ctrl)
+    return InjectorSpec(
+        descriptors=tuple(descs),
+        ctrl=tuple(ctrl),
+        program_at=_int_field(raw, "program_at", path, 0, default=0),
+        program_via=via,
+        enabled=enabled,
+    )
 
 
 def _load_bus(raw, path) -> BusSpec:
@@ -330,7 +297,7 @@ def load_topology(source, base_dir: Path | None = None) -> Topology:
         path = Path(source)
         try:
             text = path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(str(source), f"cannot read: {exc}") from exc
         raw = _parse_yaml(text, str(source))
         base = base_dir or path.parent
@@ -517,7 +484,8 @@ class Simulation:
 
     def __init__(self, topology: Topology, trace_enabled: bool = False):
         self.topology = topology
-        self.trace = TraceRecorder(enabled=trace_enabled)
+        self.scenario = topology.name    # the scenario label of its record
+        self.trace = TraceRecorder() if trace_enabled else None
         self.buses: dict[str, AhbBus | AxiBus] = {}
         self.now = 0
         self.finished = False
@@ -606,7 +574,7 @@ class Simulation:
                     mm.record(txn)
             per_master[name] = mm
         return MetricsRecord(
-            scenario=self.topology.name,
+            scenario=self.scenario,
             masters=per_master,
             topology_hash=self.topology.digest(),
             seed=self.topology.seed,
@@ -637,11 +605,8 @@ def build(topology: Topology, trace_enabled: bool = False,
             master = Victim(spec.name, spec.victim, port)
             sim.victims.append(master)
         else:
-            try:
-                master = InjectorHost(spec.name, spec.injector, port, sim.trace,
-                                      enabled=not disable_injectors)
-            except CapacityExceeded as exc:
-                raise ConfigError(spec.name, str(exc)) from exc
+            master = InjectorHost(spec.name, spec.injector, port, sim.trace,
+                                  enabled=not disable_injectors)
             sim.hosts.append(master)
         sim._masters.append(master)
         sim._placement.append((spec.name, spec.bus, master_id))
@@ -675,21 +640,16 @@ def run_pair(topology: Topology, max_cycles: int | None = None,
         raise ConfigError("masters", "a paired run needs at least one injector")
 
     base_sim = build(topology, trace_enabled=trace_enabled, disable_injectors=True)
-    try:
-        baseline = base_sim.run(max_cycles)
-    except CycleLimitExceeded as exc:
-        exc.records[0].scenario = "baseline"
-        raise
-    baseline.scenario = "baseline"
+    base_sim.scenario = "baseline"
+    baseline = base_sim.run(max_cycles)
 
     cont_sim = build(topology, trace_enabled=trace_enabled)
+    cont_sim.scenario = "contended"
     try:
         contended = cont_sim.run(max_cycles)
     except CycleLimitExceeded as exc:
-        exc.records[0].scenario = "contended"
         exc.records.insert(0, baseline)
         raise
-    contended.scenario = "contended"
 
     slowdown = {}
     for name in victims:

@@ -224,7 +224,9 @@ class _AxiChannel:
     def __init__(self):
         self.queues: list[deque[Transaction]] = []
         self.in_flight: list[int] = []
-        self.active: list[Transaction] = []   # acceptance order
+        # Acceptance order, which is also completion order: each accept
+        # moves next_beat_free past the previous completion.
+        self.active: deque[Transaction] = deque()
         self.next_beat_free = 0
         self.rr_next = 0
 
@@ -259,22 +261,16 @@ class AxiBus(_BusBase):
         return txn
 
     def begin_cycle(self, now: int):
-        for kind in ("read", "write"):
-            ch = self._channels[kind]
-            if not ch.active:
-                continue
-            remaining = []
-            for txn in ch.active:
-                if txn.complete_cycle <= now:
-                    txn.done = True
-                    ch.in_flight[txn.master_id] -= 1
-                    self.completed.append(txn)
-                    if self.trace:
-                        self.trace.bus(txn.complete_cycle, self.name, "COMPLETE",
-                                       txn.master_id, txn.txn_id)
-                else:
-                    remaining.append(txn)
-            ch.active = remaining
+        for ch in self._channels.values():
+            active = ch.active
+            while active and active[0].complete_cycle <= now:
+                txn = active.popleft()
+                txn.done = True
+                ch.in_flight[txn.master_id] -= 1
+                self.completed.append(txn)
+                if self.trace:
+                    self.trace.bus(txn.complete_cycle, self.name, "COMPLETE",
+                                   txn.master_id, txn.txn_id)
 
     def arbitrate(self, now: int):
         for kind in ("read", "write"):
@@ -300,9 +296,8 @@ class AxiBus(_BusBase):
     def next_event(self, now: int) -> int | None:
         nxt = None
         for ch in self._channels.values():
-            for txn in ch.active:
-                if nxt is None or txn.complete_cycle < nxt:
-                    nxt = txn.complete_cycle
+            if ch.active and (nxt is None or ch.active[0].complete_cycle < nxt):
+                nxt = ch.active[0].complete_cycle
             if any(ch.queues):
                 cand = now + 1
                 if nxt is None or cand < nxt:

@@ -60,12 +60,22 @@ class Access:
     size_bytes: int = 4
     reps: int = 1
     line: int = 0
+    irq_on_done: bool = False
+
+    def descriptor(self, last: bool = False) -> dm.Descriptor:
+        return dm.Descriptor(self.kind, self.address, self.size_bytes,
+                             self.reps, last, self.irq_on_done)
 
 
 @dataclass(frozen=True)
 class Delay:
     cycles: int
     line: int = 0
+    reps: int = 1
+    irq_on_done: bool = False
+
+    def descriptor(self, last: bool = False) -> dm.Descriptor:
+        return dm.Descriptor.delay(self.cycles, self.reps, last, self.irq_on_done)
 
 
 Stmt = Union[Access, Delay]
@@ -76,14 +86,47 @@ class PatternProgram:
     statements: tuple[Stmt, ...]
 
 
-_ACCESS_KINDS = {
-    "read": dm.Kind.READ,
-    "write": dm.Kind.WRITE,
-    "read_fix": dm.Kind.READ_FIX,
-    "write_fix": dm.Kind.WRITE_FIX,
-}
+# Statement and inline descriptor kind names: "read", "write_fix", "delay", ...
+KINDS = {kind.name.lower(): kind for kind in dm.Kind}
+
+# Descriptor fields a statement of each kind may set; the first one is
+# required.  ``last`` is not among them: lower() sets it.
+_ACCESS_FIELDS = ("address", "size_bytes", "reps", "irq_on_done")
+_DELAY_FIELDS = ("delay_cycles", "reps", "irq_on_done")
+
+# DSL spelling of the Descriptor fields whose name it shortens.
+_DSL_FIELDS = {"size_bytes": "size", "delay_cycles": "delay"}
 
 CTRL_FLAG_BITS = {"loop": CTRL_LOOP, "irq": CTRL_IRQ_EN, "pipe": CTRL_PIPE_EN}
+
+
+def statement(kind: dm.Kind, values: dict, line: int = 0) -> Stmt:
+    """Build one statement from Descriptor field values.
+
+    Both front ends, the DSL parser and inline topology descriptor lists,
+    come through here, so they accept the same fields and the same ranges.
+    Raises descriptors.InvalidDescriptor on the first field that is unknown
+    for the kind, missing, of the wrong type, or rejected by
+    descriptors.validate.
+    """
+    allowed = _DELAY_FIELDS if kind is dm.Kind.DELAY else _ACCESS_FIELDS
+    for field, value in values.items():
+        if field not in allowed:
+            raise dm.InvalidDescriptor(field, f"not a field of {kind.name.lower()} "
+                                              f"descriptors; expected one of {allowed}")
+        want = bool if field == "irq_on_done" else int
+        if type(value) is not want:
+            raise dm.InvalidDescriptor(field, f"expected {want.__name__}, got {value!r}")
+    if allowed[0] not in values:
+        raise dm.InvalidDescriptor(allowed[0], "missing required integer")
+    desc = dm.Descriptor(kind, **values)
+    problems = dm.validate(desc)
+    if problems:
+        raise dm.InvalidDescriptor(problems[0].field, problems[0])
+    if kind is dm.Kind.DELAY:
+        return Delay(desc.delay_cycles, line, desc.reps, desc.irq_on_done)
+    return Access(kind, desc.address, desc.size_bytes, desc.reps, line,
+                  desc.irq_on_done)
 
 
 def _parse_int(token: str, line: int, what: str) -> int:
@@ -97,41 +140,27 @@ def _parse_int(token: str, line: int, what: str) -> int:
     raise PatternSyntaxError(line, f"expected {what}, got {token!r}")
 
 
-def _check_range(value: int, lo: int, hi: int, field: str, line: int) -> int:
-    if not lo <= value <= hi:
-        raise PatternRangeError(line, field,
-                                f"{field} out of range [{lo}, {hi}]: {value}")
-    return value
-
-
-def _parse_access(kind: dm.Kind, args: list[str], line: int) -> Access:
+def _parse_access(args: list[str], line: int) -> dict:
     if not args:
         raise PatternSyntaxError(line, "missing address")
-    address = _check_range(_parse_int(args[0], line, "an address"),
-                           0, dm.WORD_MASK, "address", line)
-    size_bytes, reps = 4, 1
+    values = {"address": _parse_int(args[0], line, "an address")}
     rest = args[1:]
-    if rest and rest[0].startswith("size="):
-        size_bytes = _check_range(_parse_int(rest[0][5:], line, "a size"),
-                                  dm.SIZE_MIN, dm.SIZE_MAX, "size", line)
-        rest = rest[1:]
-    if rest and rest[0].startswith("reps="):
-        reps = _check_range(_parse_int(rest[0][5:], line, "a repetition count"),
-                            dm.REPS_MIN, dm.REPS_MAX, "reps", line)
-        rest = rest[1:]
+    for key, field, what in (("size=", "size_bytes", "a size"),
+                             ("reps=", "reps", "a repetition count")):
+        if rest and rest[0].startswith(key):
+            values[field] = _parse_int(rest[0][len(key):], line, what)
+            rest = rest[1:]
     if rest:
         raise PatternSyntaxError(line, f"unexpected token {rest[0]!r}")
-    return Access(kind, address, size_bytes, reps, line)
+    return values
 
 
-def _parse_delay(args: list[str], line: int) -> Delay:
+def _parse_delay(args: list[str], line: int) -> dict:
     if not args:
         raise PatternSyntaxError(line, "missing cycle count")
     if len(args) > 1:
         raise PatternSyntaxError(line, f"unexpected token {args[1]!r}")
-    cycles = _check_range(_parse_int(args[0], line, "a cycle count"),
-                          dm.DELAY_MIN, dm.DELAY_MAX, "delay", line)
-    return Delay(cycles, line)
+    return {"delay_cycles": _parse_int(args[0], line, "a cycle count")}
 
 
 def parse(text: str) -> PatternProgram:
@@ -143,12 +172,15 @@ def parse(text: str) -> PatternProgram:
             continue
         tokens = line.split()
         head, args = tokens[0], tokens[1:]
-        if head in _ACCESS_KINDS:
-            statements.append(_parse_access(_ACCESS_KINDS[head], args, lineno))
-        elif head == "delay":
-            statements.append(_parse_delay(args, lineno))
-        else:
+        kind = KINDS.get(head)
+        if kind is None:
             raise PatternSyntaxError(lineno, f"unknown statement {head!r}")
+        parse_args = _parse_delay if kind is dm.Kind.DELAY else _parse_access
+        try:
+            statements.append(statement(kind, parse_args(args, lineno), lineno))
+        except dm.InvalidDescriptor as exc:
+            raise PatternRangeError(lineno, _DSL_FIELDS.get(exc.field, exc.field),
+                                    str(exc)) from None
     if not statements:
         raise PatternSyntaxError(1, "empty pattern: no statements")
     return PatternProgram(tuple(statements))
@@ -156,17 +188,9 @@ def parse(text: str) -> PatternProgram:
 
 def lower(program: PatternProgram) -> list[dm.Descriptor]:
     """One descriptor per statement; only the final one has last=True."""
-    out = []
     final = len(program.statements) - 1
-    for i, stmt in enumerate(program.statements):
-        last = i == final
-        if isinstance(stmt, Access):
-            out.append(dm.Descriptor(stmt.kind, address=stmt.address,
-                                     size_bytes=stmt.size_bytes,
-                                     reps=stmt.reps, last=last))
-        else:
-            out.append(dm.Descriptor.delay(stmt.cycles, last=last))
-    return out
+    return [stmt.descriptor(last=i == final)
+            for i, stmt in enumerate(program.statements)]
 
 
 def compile_text(text: str) -> list[dm.Descriptor]:
@@ -174,8 +198,15 @@ def compile_text(text: str) -> list[dm.Descriptor]:
 
 
 def compile_file(path) -> list[dm.Descriptor]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return compile_text(fh.read())
+    """Compile a UTF-8 pattern file; OSError if it cannot be read."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise PatternSyntaxError(data.count(b"\n", 0, exc.start) + 1,
+                                 f"not valid UTF-8: {exc.reason}") from None
+    return compile_text(text)
 
 
 # ---------------------------------------------------------------------------

@@ -20,20 +20,17 @@ INJECTOR_TRACE_HEADER = "cycle,injector,stage,event"
 
 
 class TraceRecorder:
-    """Collects trace rows; disabled recorders drop everything."""
+    """Collects trace rows.  A run that is not traced has no recorder."""
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self.bus_rows: list[tuple[int, str, str, int, int]] = []
         self.injector_rows: list[tuple[int, str, str, str]] = []
 
     def bus(self, cycle: int, bus: str, event: str, master_id: int, txn_id: int):
-        if self.enabled:
-            self.bus_rows.append((cycle, bus, event, master_id, txn_id))
+        self.bus_rows.append((cycle, bus, event, master_id, txn_id))
 
     def injector(self, cycle: int, injector: str, stage: str, event: str):
-        if self.enabled:
-            self.injector_rows.append((cycle, injector, stage, event))
+        self.injector_rows.append((cycle, injector, stage, event))
 
     def bus_csv(self) -> str:
         rows = sorted(

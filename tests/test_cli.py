@@ -172,3 +172,61 @@ def test_seed_override_changes_metadata_only(tmp_path, capsys):
     code2, out2, _ = run_cli(capsys, "run", str(cfg), "--seed", "5")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def _injector_config(tmp_path, injector: str):
+    cfg = tmp_path / "inj.yaml"
+    cfg.write_text(
+        "buses: [{name: a, kind: ahb, L: 1}]\n"
+        "masters:\n"
+        "  - name: v\n"
+        "    bus: a\n"
+        "    role: victim\n"
+        "    victim: {period: 4, count: 2, kind: read, address: 0}\n"
+        "  - name: inj\n"
+        "    bus: a\n"
+        "    role: injector\n"
+        f"    injector: {injector}\n",
+        encoding="utf-8")
+    return cfg
+
+
+@pytest.mark.parametrize("injector,path", [
+    ('{descriptors: [{kind: write, address: 0}], enabled: "no"}', "injector.enabled"),
+    ("{pattern: 5}", "injector.pattern"),
+    ("{descriptors: [{kind: write, address: 0}], ctrl: [[1]]}", "injector.ctrl"),
+    ("{pattern: bad.tig}", "injector.pattern"),
+    ("{descriptors: [{kind: write, address: 0, size: 64}]}", "injector.descriptors[0].size"),
+    ("{descriptors: [{kind: delay, delay_cycles: 5, address: 4}]}",
+     "injector.descriptors[0].address"),
+    ("{descriptors: [{kind: read, address: 0, delay_cycles: 3}]}",
+     "injector.descriptors[0].delay_cycles"),
+    ('{descriptors: [{kind: read, address: 0, irq_on_done: "false"}]}',
+     "injector.descriptors[0].irq_on_done"),
+    ("{descriptors: [{kind: read, address: 0, size_bytes: 9000}]}",
+     "injector.descriptors[0].size_bytes"),
+], ids=["enabled-string", "pattern-int", "ctrl-nested-list", "pattern-not-utf8",
+        "unknown-key", "address-on-delay", "delay-on-read", "irq-string",
+        "size-range"])
+def test_run_bad_injector_exits_2_with_field_path(tmp_path, capsys, injector, path):
+    (tmp_path / "bad.tig").write_bytes(b"read 0x10\nread 0x\xff\n")
+    code, out, err = run_cli(capsys, "run", str(_injector_config(tmp_path, injector)))
+    assert code == 2
+    assert f"masters[1].{path}:" in err
+    assert out == ""
+
+
+def test_run_non_utf8_topology_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_bytes(b"buses: [{name: a\xff, kind: ahb, L: 1}]\n")
+    code, _, err = run_cli(capsys, "run", str(cfg))
+    assert code == 2 and "bad.yaml" in err
+
+
+def test_compile_non_utf8_exits_2_with_line(tmp_path, capsys):
+    bad = tmp_path / "bad.tig"
+    bad.write_bytes(b"read 0x10\nread 0x\xff\n")
+    code, out, err = run_cli(capsys, "compile", str(bad))
+    assert code == 2
+    assert "line 2" in err
+    assert out == ""

@@ -318,3 +318,37 @@ def test_data_bus_programming_interferes_apb_does_not():
     # the buffer and control writes appear as ordinary bus transactions
     assert apb.masters["inj0"].txn_count == 0
     assert data.masters["inj0"].txn_count == 2 * 64 + 1
+
+
+def test_untraced_build_has_no_recorder():
+    assert build(shared_bus_topology(injector=loop_injector())).trace is None
+    assert build(shared_bus_topology(), trace_enabled=True).trace is not None
+
+
+def test_inline_descriptors_match_the_dsl():
+    """Both front ends build the same program from the same statements."""
+    inline = [{"kind": "read", "address": 0x8000_0000},
+              {"kind": "write", "address": 0x4000_0000, "size_bytes": 64, "reps": 4},
+              {"kind": "delay", "delay_cycles": 100}]
+    cfg = {
+        "buses": [{"name": "a", "kind": "ahb", "L": 1}],
+        "masters": [{"name": "i", "bus": "a", "role": "injector",
+                     "injector": {"descriptors": inline}}],
+    }
+    from tigsim import pattern as pat
+    dsl = pat.compile_file(SAMPLES / "basic.tig")
+    assert list(load_topology(cfg).masters[0].injector.descriptors) == dsl
+
+
+def test_run_pair_contended_limit_keeps_both_records():
+    topo = Topology(
+        buses=(BusSpec("ahb0", "ahb", 2, "fixed_priority"),),
+        masters=(MasterSpec("inj0", "ahb0", "injector", injector=loop_injector()),
+                 MasterSpec("core0", "ahb0", "victim", victim=victim_spec())),
+        max_cycles=1000,
+    )
+    with pytest.raises(CycleLimitExceeded) as excinfo:
+        run_pair(topo)
+    records = excinfo.value.records
+    assert [(r.scenario, r.partial) for r in records] == [
+        ("baseline", False), ("contended", True)]

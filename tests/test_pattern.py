@@ -184,3 +184,11 @@ def test_apb_replay_equals_direct_load():
     direct.apb_write(CTRL_OFFSET, pat.ctrl_value(["pipe"]))
     assert via_seq.buffer == direct.buffer
     assert via_seq.apb_read(CTRL_OFFSET) == direct.apb_read(CTRL_OFFSET)
+
+
+def test_compile_file_rejects_non_utf8_with_line(tmp_path):
+    bad = tmp_path / "bad.tig"
+    bad.write_bytes(b"read 0x10\n\ndelay \xff\n")
+    with pytest.raises(pat.PatternSyntaxError) as excinfo:
+        pat.compile_file(bad)
+    assert excinfo.value.line == 3
