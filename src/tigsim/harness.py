@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -64,15 +64,18 @@ class CycleLimitExceeded(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # Topology schema
+#
+# The loader takes each level's YAML keys and defaults from these fields.
+# A field's YAML key is its name unless its metadata spells it otherwise.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class BusSpec:
     name: str
     kind: str                 # 'ahb' | 'axi'
-    latency: int              # target first-access latency L
-    policy: str
-    outstanding: int = 1      # AXI per-master, per-channel cap O
+    latency: int = field(metadata={"key": "L"})    # target first-access latency
+    policy: str = "fixed_priority"
+    outstanding: int = field(default=1, metadata={"key": "O"})  # AXI cap per channel
 
 
 @dataclass(frozen=True)
@@ -81,7 +84,7 @@ class VictimSpec:
     count: int
     kind: str                 # 'read' | 'write'
     address: int
-    size_bytes: int
+    size_bytes: int = 4
 
 
 @dataclass(frozen=True)
@@ -111,33 +114,15 @@ class Topology:
     max_cycles: int = DEFAULT_MAX_CYCLES
 
     def canonical(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "max_cycles": self.max_cycles,
-            "buses": [vars(b) for b in self.buses],
-            "masters": [
-                {
-                    "name": m.name,
-                    "bus": m.bus,
-                    "role": m.role,
-                    "victim": None if m.victim is None else vars(m.victim),
-                    "injector": None if m.injector is None else {
-                        "descriptors": [{**vars(d), "kind": d.kind.name}
-                                        for d in m.injector.descriptors],
-                        "ctrl": list(m.injector.ctrl),
-                        "program_at": m.injector.program_at,
-                        "program_via": m.injector.program_via,
-                        "enabled": m.injector.enabled,
-                    },
-                }
-                for m in self.masters
-            ],
-        }
+        return asdict(self, dict_factory=_kinds_by_name)
 
     def digest(self) -> str:
         blob = json.dumps(self.canonical(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _kinds_by_name(items) -> dict:
+    return {k: v.name if isinstance(v, dm.Kind) else v for k, v in items}
 
 
 # ---------------------------------------------------------------------------
@@ -147,58 +132,70 @@ class Topology:
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
 
+def _at(path, key) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _mapping(raw, path, spec, extra=()) -> dict:
+    """raw read as one level of spec: a mapping whose keys are spec's
+    fields (or extra), with spec's defaults filled in for absent keys."""
+    if not isinstance(raw, dict):
+        raise ConfigError(path or "<config>", "expected a mapping")
+    keys = {f.metadata.get("key", f.name): f for f in fields(spec)}
+    for key in raw:
+        if key not in keys and key not in extra:
+            raise ConfigError(_at(path, key), "unknown key")
+    defaults = {key: f.default for key, f in keys.items() if f.default is not MISSING}
+    return {**defaults, **raw}
+
+
 def _require(mapping, key, path, types, what):
     if key not in mapping:
-        raise ConfigError(f"{path}.{key}", f"missing required {what}")
+        raise ConfigError(_at(path, key), f"missing required {what}")
     value = mapping[key]
     if not isinstance(value, types):
-        raise ConfigError(f"{path}.{key}", f"expected {what}")
+        raise ConfigError(_at(path, key), f"expected {what}")
     return value
 
 
 def _name_field(mapping, key, path, what):
     value = _require(mapping, key, path, str, what)
     if not _NAME_RE.match(value):
-        raise ConfigError(f"{path}.{key}",
+        raise ConfigError(_at(path, key),
                           f"names are limited to [A-Za-z0-9_.-], got {value!r}")
     return value
 
 
-def _int_field(mapping, key, path, minimum, default=None):
+def _int_field(mapping, key, path, minimum, maximum=None):
+    where = _at(path, key)
     if key not in mapping:
-        if default is None:
-            raise ConfigError(f"{path}.{key}", "missing required integer")
-        return default
+        raise ConfigError(where, "missing required integer")
     value = mapping[key]
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}.{key}", f"expected an integer, got {value!r}")
+        raise ConfigError(where, f"expected an integer, got {value!r}")
     if value < minimum:
-        raise ConfigError(f"{path}.{key}", f"must be >= {minimum}, got {value}")
+        raise ConfigError(where, f"must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(where, f"must be <= {maximum}, got {value}")
+    return value
+
+
+def _choice(mapping, key, path, choices: tuple):
+    value = _require(mapping, key, path, object, "value")
+    if value not in choices:
+        raise ConfigError(_at(path, key), f"expected one of {choices}, got {value!r}")
     return value
 
 
 def _load_victim(raw, path) -> VictimSpec:
-    if not isinstance(raw, dict):
-        raise ConfigError(path, "expected a mapping")
-    kind = _require(raw, "kind", path, str, "access kind")
-    if kind not in ("read", "write"):
-        raise ConfigError(f"{path}.kind", f"expected 'read' or 'write', got {kind!r}")
-    spec = VictimSpec(
-        period=_int_field(raw, "period", path, 1),
-        count=_int_field(raw, "count", path, 1),
-        kind=kind,
-        address=_int_field(raw, "address", path, 0),
-        size_bytes=_int_field(raw, "size_bytes", path, 1, default=4),
+    values = _mapping(raw, path, VictimSpec)
+    return VictimSpec(
+        period=_int_field(values, "period", path, 1),
+        count=_int_field(values, "count", path, 1),
+        kind=_choice(values, "kind", path, ("read", "write")),
+        address=_int_field(values, "address", path, 0, maximum=dm.WORD_MASK),
+        size_bytes=_int_field(values, "size_bytes", path, 1, maximum=dm.SIZE_MAX),
     )
-    if spec.size_bytes > dm.SIZE_MAX:
-        raise ConfigError(f"{path}.size_bytes", f"must be <= {dm.SIZE_MAX}")
-    if spec.address > dm.WORD_MASK:
-        raise ConfigError(f"{path}.address", "must fit in 32 bits")
-    known = {"period", "count", "kind", "address", "size_bytes"}
-    for key in raw:
-        if key not in known:
-            raise ConfigError(f"{path}.{key}", "unknown key")
-    return spec
 
 
 def _load_inline_descriptors(raw, path) -> list[dm.Descriptor]:
@@ -209,9 +206,7 @@ def _load_inline_descriptors(raw, path) -> list[dm.Descriptor]:
         epath = f"{path}[{i}]"
         if not isinstance(entry, dict):
             raise ConfigError(epath, "expected a mapping")
-        kind_name = _require(entry, "kind", epath, str, "descriptor kind")
-        if kind_name not in pat.KINDS:
-            raise ConfigError(f"{epath}.kind", f"unknown kind {kind_name!r}")
+        kind_name = _choice(entry, "kind", epath, tuple(pat.KINDS))
         values = {k: v for k, v in entry.items() if k != "kind"}
         try:
             statements.append(pat.statement(pat.KINDS[kind_name], values))
@@ -221,14 +216,11 @@ def _load_inline_descriptors(raw, path) -> list[dm.Descriptor]:
 
 
 def _load_injector(raw, path, base_dir: Path) -> InjectorSpec:
-    if not isinstance(raw, dict):
-        raise ConfigError(path, "expected a mapping")
-    has_pattern = "pattern" in raw
-    has_inline = "descriptors" in raw
-    if has_pattern == has_inline:
+    values = _mapping(raw, path, InjectorSpec, extra=("pattern",))
+    if ("pattern" in raw) == ("descriptors" in raw):
         raise ConfigError(path, "exactly one of 'pattern' or 'descriptors' required")
-    if has_pattern:
-        pattern_path = Path(_require(raw, "pattern", path, str, "pattern file path"))
+    if "pattern" in raw:
+        pattern_path = Path(_require(values, "pattern", path, str, "pattern file path"))
         if not pattern_path.is_absolute():
             pattern_path = base_dir / pattern_path
         try:
@@ -238,54 +230,58 @@ def _load_injector(raw, path, base_dir: Path) -> InjectorSpec:
         except pat.PatternError as exc:
             raise ConfigError(f"{path}.pattern", str(exc)) from exc
     else:
-        descs = _load_inline_descriptors(raw["descriptors"], f"{path}.descriptors")
+        descs = _load_inline_descriptors(values["descriptors"], f"{path}.descriptors")
 
-    ctrl = raw.get("ctrl", ["pipe"])
-    if not isinstance(ctrl, list):
+    ctrl = values["ctrl"]
+    if not isinstance(ctrl, (list, tuple)):
         raise ConfigError(f"{path}.ctrl", "expected a list of flag names")
     for flag in ctrl:
         if not isinstance(flag, str) or flag not in pat.CTRL_FLAG_BITS:
             raise ConfigError(f"{path}.ctrl", f"unknown flag {flag!r}")
-    via = raw.get("program_via", "apb")
-    if via not in ("apb", "data_bus"):
-        raise ConfigError(f"{path}.program_via", f"expected 'apb' or 'data_bus', got {via!r}")
-    enabled = raw.get("enabled", True)
+    enabled = values["enabled"]
     if not isinstance(enabled, bool):
         raise ConfigError(f"{path}.enabled", f"expected a boolean, got {enabled!r}")
-    known = {"pattern", "descriptors", "ctrl", "program_at", "program_via", "enabled"}
-    for key in raw:
-        if key not in known:
-            raise ConfigError(f"{path}.{key}", "unknown key")
     # Raises CapacityExceeded when the program does not fit the buffer.
     pat.emit_apb_sequence(descs, ctrl)
     return InjectorSpec(
         descriptors=tuple(descs),
         ctrl=tuple(ctrl),
-        program_at=_int_field(raw, "program_at", path, 0, default=0),
-        program_via=via,
+        program_at=_int_field(values, "program_at", path, 0),
+        program_via=_choice(values, "program_via", path, ("apb", "data_bus")),
         enabled=enabled,
     )
 
 
 def _load_bus(raw, path) -> BusSpec:
-    if not isinstance(raw, dict):
-        raise ConfigError(path, "expected a mapping")
-    name = _name_field(raw, "name", path, "bus name")
-    kind = _require(raw, "kind", path, str, "bus kind")
-    if kind not in ("ahb", "axi"):
-        raise ConfigError(f"{path}.kind", f"expected 'ahb' or 'axi', got {kind!r}")
-    policy = raw.get("policy", "fixed_priority")
-    if policy not in POLICIES:
-        raise ConfigError(f"{path}.policy", f"expected one of {POLICIES}, got {policy!r}")
-    outstanding = _int_field(raw, "O", path, 1, default=1)
+    values = _mapping(raw, path, BusSpec)
+    kind = _choice(values, "kind", path, ("ahb", "axi"))
     if kind == "ahb" and "O" in raw:
         raise ConfigError(f"{path}.O", "only meaningful for axi buses")
-    known = {"name", "kind", "L", "policy", "O"}
-    for key in raw:
-        if key not in known:
-            raise ConfigError(f"{path}.{key}", "unknown key")
-    return BusSpec(name=name, kind=kind, latency=_int_field(raw, "L", path, 1),
-                   policy=policy, outstanding=outstanding)
+    return BusSpec(
+        name=_name_field(values, "name", path, "bus name"),
+        kind=kind,
+        latency=_int_field(values, "L", path, 1),
+        policy=_choice(values, "policy", path, POLICIES),
+        outstanding=_int_field(values, "O", path, 1),
+    )
+
+
+def _load_master(raw, path, bus_names: tuple, base_dir: Path) -> MasterSpec:
+    values = _mapping(raw, path, MasterSpec)
+    name = _name_field(values, "name", path, "master name")
+    bus = _choice(values, "bus", path, bus_names)
+    role = _choice(values, "role", path, ("victim", "injector"))
+    other = "injector" if role == "victim" else "victim"
+    if other in raw:
+        raise ConfigError(f"{path}.{other}", f"not allowed when role is {role!r}")
+    if role == "victim":
+        return MasterSpec(name, bus, role,
+                          victim=_load_victim(values["victim"], f"{path}.victim"))
+    try:
+        injector = _load_injector(values["injector"], f"{path}.injector", base_dir)
+    except CapacityExceeded as exc:
+        raise ConfigError(f"{path}.injector", f"{name}: {exc}") from exc
+    return MasterSpec(name, bus, role, injector=injector)
 
 
 def load_topology(source, base_dir: Path | None = None) -> Topology:
@@ -305,58 +301,30 @@ def load_topology(source, base_dir: Path | None = None) -> Topology:
         raw = _parse_yaml(str(source), "<config>")
         base = base_dir or Path.cwd()
 
-    if not isinstance(raw, dict):
-        raise ConfigError("<config>", "expected a mapping at top level")
-
-    buses_raw = raw.get("buses")
+    values = _mapping(raw, "", Topology)
+    buses_raw = values.get("buses")
     if not isinstance(buses_raw, list) or not buses_raw:
         raise ConfigError("buses", "at least one bus required")
     buses = tuple(_load_bus(b, f"buses[{i}]") for i, b in enumerate(buses_raw))
-    bus_names = [b.name for b in buses]
+    bus_names = tuple(b.name for b in buses)
     if len(set(bus_names)) != len(bus_names):
         raise ConfigError("buses", "bus names must be unique")
 
-    masters_raw = raw.get("masters")
+    masters_raw = values.get("masters")
     if not isinstance(masters_raw, list) or not masters_raw:
         raise ConfigError("masters", "at least one master required")
-    masters = []
-    for i, m in enumerate(masters_raw):
-        path = f"masters[{i}]"
-        if not isinstance(m, dict):
-            raise ConfigError(path, "expected a mapping")
-        name = _name_field(m, "name", path, "master name")
-        bus = _require(m, "bus", path, str, "bus reference")
-        if bus not in bus_names:
-            raise ConfigError(f"{path}.bus", f"unknown bus {bus!r}")
-        role = _require(m, "role", path, str, "master role")
-        if role == "victim":
-            spec = MasterSpec(name, bus, role,
-                              victim=_load_victim(m.get("victim"), f"{path}.victim"))
-        elif role == "injector":
-            try:
-                inj = _load_injector(m.get("injector"), f"{path}.injector", base)
-            except CapacityExceeded as exc:
-                raise ConfigError(f"{path}.injector", f"{name}: {exc}") from exc
-            spec = MasterSpec(name, bus, role, injector=inj)
-        else:
-            raise ConfigError(f"{path}.role",
-                              f"expected 'victim' or 'injector', got {role!r}")
-        masters.append(spec)
+    masters = tuple(_load_master(m, f"masters[{i}]", bus_names, base)
+                    for i, m in enumerate(masters_raw))
     names = [m.name for m in masters]
     if len(set(names)) != len(names):
         raise ConfigError("masters", "master names must be unique")
 
-    scenario = raw.get("name", "run")
-    if not isinstance(scenario, str) or not _NAME_RE.match(scenario):
-        raise ConfigError("name", f"names are limited to [A-Za-z0-9_.-], "
-                                  f"got {scenario!r}")
     return Topology(
         buses=buses,
-        masters=tuple(masters),
-        name=scenario,
-        seed=_int_field(raw, "seed", "<config>", 0, default=0),
-        max_cycles=_int_field(raw, "max_cycles", "<config>", 1,
-                              default=DEFAULT_MAX_CYCLES),
+        masters=masters,
+        name=_name_field(values, "name", "", "scenario name"),
+        seed=_int_field(values, "seed", "", 0),
+        max_cycles=_int_field(values, "max_cycles", "", 1),
     )
 
 
@@ -381,7 +349,6 @@ class Victim:
         self.issued = 0
         self.pending = None
         self.ready_cycle = 0
-        self.completion_cycle: int | None = None
 
     @property
     def finished(self) -> bool:
@@ -391,7 +358,6 @@ class Victim:
         if self.pending is not None:
             if not self.pending.done:
                 return
-            self.completion_cycle = self.pending.complete_cycle
             self.ready_cycle = self.pending.complete_cycle
             self.pending = None
         if self.issued < self.spec.count:
@@ -443,23 +409,19 @@ class InjectorHost:
     def _advance_programming(self, now: int) -> bool:
         if now < self.spec.program_at:
             return False
-        if self.spec.program_via == "apb":
-            for offset, value in self.sequence:
-                self.injector.apb_write(offset, value)
-            self.programmed = True
-            return True
-        # data_bus: each configuration write is an ordinary write
-        # transaction on the shared bus, issued back to back.
-        if self._prog_txn is not None:
-            if not self._prog_txn.done:
+        if self.spec.program_via == "data_bus":
+            # Each configuration write is first an ordinary write
+            # transaction on the shared bus, issued back to back.
+            if self._prog_txn is not None:
+                if not self._prog_txn.done:
+                    return False
+                self._prog_txn = None
+            if self._prog_index < len(self.sequence):
+                offset, _ = self.sequence[self._prog_index]
+                self._prog_index += 1
+                self._prog_txn = self.port.submit(
+                    "write", DATA_BUS_MMIO_BASE + offset, 4, now)
                 return False
-            self._prog_txn = None
-        if self._prog_index < len(self.sequence):
-            offset, _ = self.sequence[self._prog_index]
-            self._prog_index += 1
-            self._prog_txn = self.port.submit(
-                "write", DATA_BUS_MMIO_BASE + offset, 4, now)
-            return False
         for offset, value in self.sequence:
             self.injector.apb_write(offset, value)
         self.programmed = True
@@ -502,7 +464,6 @@ class Simulation:
         self.victims: list[Victim] = []
         self.hosts: list[InjectorHost] = []
         self._masters = []
-        self._placement: list[tuple[str, str, int]] = []  # name, bus, master_id
 
     def injector(self, name: str) -> Injector:
         for host in self.hosts:
@@ -565,18 +526,13 @@ class Simulation:
     # -- metrics ------------------------------------------------------------
 
     def _collect(self, cycles: int, partial: bool) -> MetricsRecord:
-        per_master: dict[str, MasterMetrics] = {}
-        for name, bus_name, master_id in self._placement:
-            role = next(m.role for m in self.topology.masters if m.name == name)
-            mm = MasterMetrics(master=name, role=role)
-            for txn in self.buses[bus_name].completed:
-                if txn.master_id == master_id:
-                    mm.record(txn)
-            per_master[name] = mm
+        per_master = {m.name: MasterMetrics(master=m.name, role=m.role)
+                      for m in self.topology.masters}
+        for name, txn in self.transactions():
+            per_master[name].record(txn)
         return MetricsRecord(
             scenario=self.scenario,
             masters=per_master,
-            topology_hash=self.topology.digest(),
             seed=self.topology.seed,
             cycles=cycles,
             partial=partial,
@@ -584,12 +540,8 @@ class Simulation:
 
     def transactions(self):
         """(master_name, Transaction) for every completed transaction."""
-        out = []
-        for name, bus_name, master_id in self._placement:
-            for txn in self.buses[bus_name].completed:
-                if txn.master_id == master_id:
-                    out.append((name, txn))
-        return out
+        return [(bus.masters[txn.master_id], txn)
+                for bus in self._bus_list for txn in bus.completed]
 
 
 def build(topology: Topology, trace_enabled: bool = False,
@@ -609,7 +561,6 @@ def build(topology: Topology, trace_enabled: bool = False,
                                   enabled=not disable_injectors)
             sim.hosts.append(master)
         sim._masters.append(master)
-        sim._placement.append((spec.name, spec.bus, master_id))
     return sim
 
 

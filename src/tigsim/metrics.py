@@ -95,7 +95,6 @@ class MetricsRecord:
 
     scenario: str
     masters: dict[str, MasterMetrics]
-    topology_hash: str = ""
     seed: int = 0
     cycles: int = 0
     partial: bool = False

@@ -3,6 +3,7 @@
 from pathlib import Path
 
 import pytest
+import yaml
 
 from tigsim import pattern as pat
 from tigsim.cli import main
@@ -229,4 +230,31 @@ def test_compile_non_utf8_exits_2_with_line(tmp_path, capsys):
     code, out, err = run_cli(capsys, "compile", str(bad))
     assert code == 2
     assert "line 2" in err
+    assert out == ""
+
+
+
+_VICTIM = {"period": 4, "count": 2, "kind": "read", "address": 0}
+_INJECTOR = {"descriptors": [{"kind": "write", "address": 0}]}
+
+
+@pytest.mark.parametrize("edit,path", [
+    (lambda raw: raw.update(bogus=1), "bogus"),
+    (lambda raw: raw["masters"][0].update(typo=3), "masters[0].typo"),
+    (lambda raw: raw["masters"][0].update(injector=_INJECTOR), "masters[0].injector"),
+    (lambda raw: raw["masters"][1].update(victim=_VICTIM), "masters[1].victim"),
+], ids=["top-level-unknown", "master-unknown", "injector-on-victim",
+        "victim-on-injector"])
+def test_run_unknown_or_other_role_key_exits_2(tmp_path, capsys, edit, path):
+    raw = {"buses": [{"name": "a", "kind": "ahb", "L": 1}],
+           "masters": [{"name": "v", "bus": "a", "role": "victim", "victim": _VICTIM},
+                       {"name": "inj", "bus": "a", "role": "injector",
+                        "injector": _INJECTOR}]}
+    edit(raw)
+    cfg = tmp_path / "keys.yaml"
+    cfg.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(cfg))
+    assert code == 2
+    assert f": {path}:" in err
+    assert "Traceback" not in err
     assert out == ""

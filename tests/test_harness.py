@@ -57,6 +57,21 @@ def test_dual_bus_sample_builds():
     build(topo)  # must not raise
 
 
+@pytest.mark.parametrize("sample,digest", [
+    ("dual_bus.yaml", "83b4e36acb60514b"),
+    ("two_masters_ahb.yaml", "7bba4f65e4392d67"),
+])
+def test_sample_digests_are_pinned(sample, digest):
+    assert load_topology(SAMPLES / sample).digest() == digest
+
+
+def test_config_schema_example_loads():
+    """The normative example in config-schema.md is accepted as written."""
+    doc = (SAMPLES.parent / "config-schema.md").read_text(encoding="utf-8")
+    example = doc.split("```yaml\n", 1)[1].split("```", 1)[0]
+    assert load_topology(example, base_dir=SAMPLES).digest() == "cf67475d1483aa7c"
+
+
 def test_unknown_bus_reference_reports_path():
     cfg = {
         "buses": [{"name": "a", "kind": "ahb", "L": 1}],
