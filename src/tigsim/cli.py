@@ -28,6 +28,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _int_at_least(minimum: int):
+    """argparse type for an override the loader bounds the same way."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse words a ValueError as "invalid int value"
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tigsim",
                      description="Bus traffic injector simulator")
@@ -44,10 +55,10 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=brief)
         p.add_argument("config", help="topology YAML file")
         p.add_argument("--out", "-o", help="metrics CSV path (default: stdout)")
-        p.add_argument("--max-cycles", type=int, help="override the cycle cap")
+        p.add_argument("--max-cycles", type=_int_at_least(1), help="override the cycle cap")
         p.add_argument("--pair", action="store_true",
                        help="run baseline (injectors disabled) and contended")
-        p.add_argument("--seed", type=int, help="override the config seed")
+        p.add_argument("--seed", type=_int_at_least(0), help="override the config seed")
         p.add_argument("--trace", required=name == "trace",
                        help="bus event trace CSV path")
     return parser
@@ -106,7 +117,9 @@ def cmd_run(args) -> int:
             records = [sim.run(args.max_cycles)]
             trace = sim.trace
     except harness.ConfigError as exc:
-        print(f"tigsim: {args.config}: {exc}", file=sys.stderr)
+        # An unreadable or unparsable file is already named by its path.
+        where = "" if exc.path == args.config else f"{args.config}: "
+        print(f"tigsim: {where}{exc}", file=sys.stderr)
         return EXIT_INPUT
     except harness.CycleLimitExceeded as exc:
         _write_text(args.out, metrics.emit_csv(exc.records))

@@ -330,7 +330,8 @@ def load_topology(source, base_dir: Path | None = None) -> Topology:
 
 def _parse_yaml(text: str, where: str):
     try:
-        return yaml.safe_load(text)
+        # libyaml's parser when this PyYAML has it; both build the same values.
+        return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError(where, f"invalid YAML: {exc}") from exc
 

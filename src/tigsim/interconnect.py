@@ -11,16 +11,19 @@ cycle ``now`` is eligible for a grant at ``now``, and a master that
 observes a completion at ``now`` may issue its next request the same
 cycle with no idle gap.
 
-AHB timing: one transaction occupies the whole bus; a grant at cycle g
-holds the bus for exactly L + beats cycles and the completion timestamp
-is g + L + beats (the first cycle the bus is free again).
+Both buses are built from one channel: per-master request queues, at
+most one grant per cycle, and one data beat per cycle in grant order.
+A transaction granted at cycle g nominally delivers beats at
+g+L .. g+L+beats-1; later grants stall behind earlier beats.  The buses
+differ only in timing:
 
-AXI timing: each channel (read, write) accepts at most one address per
-cycle and delivers at most one data beat per cycle, in acceptance order.
-A transaction accepted at cycle a nominally delivers beats at
-a+L .. a+L+beats-1; later transactions stall behind earlier beats.  The
-completion timestamp is the last beat cycle.  A per-master cap of O
-outstanding transactions per channel is enforced at acceptance.
+AHB: one channel for reads and writes that grants only while empty, so
+one transaction holds the whole bus until its completion timestamp
+g + L + beats, the cycle after its last beat.
+
+AXI: one channel each for reads and writes that grant while earlier
+transactions are in flight, up to O outstanding per master per channel.
+The completion timestamp is the last beat cycle.
 
 Arbitration ties break by ascending master id; round robin rotates a
 pointer one past the granted master.  All behavior is deterministic.
@@ -90,181 +93,80 @@ class MasterPort:
         return self.bus.submit(self.master_id, kind, address, size_bytes, now)
 
 
-def _pick(eligible: list[int], policy: str, rr_next: int, n_masters: int) -> int:
-    """Choose one master id; eligible is non-empty and sorted ascending."""
-    if policy == FIXED_PRIORITY:
-        return eligible[0]
-    for step in range(n_masters):
-        m = (rr_next + step) % n_masters
-        if m in eligible:
-            return m
-    raise AssertionError("eligible masters but none selectable")
+class _Channel:
+    """Per-master queues and in-flight counts, and the granted
+    transactions in grant order, which is also completion order."""
 
-
-class _BusBase:
-    def __init__(self, name: str, policy: str, trace: TraceRecorder | None):
-        if policy not in POLICIES:
-            raise ValueError(f"unknown arbitration policy: {policy!r}")
-        self.name = name
-        self.policy = policy
-        self.trace = trace
-        self.masters: list[str] = []
-        self.completed: list[Transaction] = []
-        self._next_id = 0
-
-    def add_master(self, label: str) -> int:
-        """Register a master; ids are assigned in registration order."""
-        self.masters.append(label)
-        self._added_master()
-        return len(self.masters) - 1
-
-    def port(self, master_id: int) -> MasterPort:
-        return MasterPort(self, master_id)
-
-    def _added_master(self):
-        pass
-
-    def _new_txn(self, master_id: int, kind: str, address: int,
-                 size_bytes: int, now: int) -> Transaction:
-        if not 0 <= master_id < len(self.masters):
-            raise UnknownMaster(f"master id {master_id} not registered on {self.name}")
-        if kind not in ("read", "write"):
-            raise ValueError(f"transaction kind must be 'read' or 'write', got {kind!r}")
-        txn = Transaction(self._next_id, master_id, kind, address & 0xFFFFFFFF,
-                          beats_for(size_bytes), now)
-        self._next_id += 1
-        if self.trace:
-            self.trace.bus(now, self.name, "REQ", master_id, txn.txn_id)
-        return txn
-
-
-# ---------------------------------------------------------------------------
-# AHB-like occupancy bus
-# ---------------------------------------------------------------------------
-
-class AhbBus(_BusBase):
-    """Single-occupancy bus: transactions serialize, one at a time."""
-
-    kind = "ahb"
-
-    def __init__(self, name: str, target: TargetModel | int = 1,
-                 policy: str = FIXED_PRIORITY, trace: TraceRecorder | None = None):
-        super().__init__(name, policy, trace)
-        if isinstance(target, int):
-            target = TargetModel(target)
-        self.target = target
-        self._queues: list[deque[Transaction]] = []
-        self._active: Transaction | None = None
-        self._rr_next = 0
-
-    def _added_master(self):
-        self._queues.append(deque())
-
-    def submit(self, master_id: int, kind: str, address: int,
-               size_bytes: int, now: int) -> Transaction:
-        txn = self._new_txn(master_id, kind, address, size_bytes, now)
-        self._queues[master_id].append(txn)
-        return txn
-
-    def begin_cycle(self, now: int):
-        txn = self._active
-        if txn is not None and txn.complete_cycle <= now:
-            txn.done = True
-            self._active = None
-            self.completed.append(txn)
-            if self.trace:
-                self.trace.bus(txn.complete_cycle, self.name, "COMPLETE",
-                               txn.master_id, txn.txn_id)
-
-    def arbitrate(self, now: int):
-        if self._active is not None:
-            return
-        eligible = [m for m, q in enumerate(self._queues) if q]
-        if not eligible:
-            return
-        m = _pick(eligible, self.policy, self._rr_next, len(self.masters))
-        txn = self._queues[m].popleft()
-        txn.grant_cycle = now
-        txn.complete_cycle = now + self.target.first_latency + txn.beats
-        self._active = txn
-        self._rr_next = (m + 1) % len(self.masters)
-        if self.trace:
-            self.trace.bus(now, self.name, "GRANT", m, txn.txn_id)
-
-    def next_event(self, now: int) -> int | None:
-        if self._active is not None:
-            return self._active.complete_cycle
-        if any(self._queues):
-            return now + 1
-        return None
-
-    def idle(self) -> bool:
-        return self._active is None and not any(self._queues)
-
-    def busy_cycles_between(self, lo: int, hi: int) -> int:
-        """Bus-occupied cycles in [lo, hi), from granted transactions."""
-        total = 0
-        txns = list(self.completed)
-        if self._active is not None:
-            txns.append(self._active)
-        for t in txns:
-            if t.grant_cycle is None:
-                continue
-            total += max(0, min(t.complete_cycle, hi) - max(t.grant_cycle, lo))
-        return total
-
-
-# ---------------------------------------------------------------------------
-# AXI-like split read/write bus
-# ---------------------------------------------------------------------------
-
-class _AxiChannel:
-    __slots__ = ("queues", "in_flight", "active", "next_beat_free", "rr_next")
+    __slots__ = ("queues", "in_flight", "granted", "next_beat_free", "rr_next")
 
     def __init__(self):
         self.queues: list[deque[Transaction]] = []
         self.in_flight: list[int] = []
-        # Acceptance order, which is also completion order: each accept
-        # moves next_beat_free past the previous completion.
-        self.active: deque[Transaction] = deque()
+        self.granted: deque[Transaction] = deque()
         self.next_beat_free = 0
         self.rr_next = 0
 
 
-class AxiBus(_BusBase):
-    """Split-channel bus: reads and writes proceed independently and
-    overlap up to the per-master outstanding cap."""
+class _Bus:
+    """The body of both buses.  ``_serial`` (AHB) means one channel for
+    reads and writes, AHB timing and no BEAT trace rows."""
 
-    kind = "axi"
+    kind: str
+    _serial: bool
 
-    def __init__(self, name: str, target: TargetModel | int = 1,
-                 policy: str = FIXED_PRIORITY, outstanding: int = 1,
-                 trace: TraceRecorder | None = None):
-        super().__init__(name, policy, trace)
-        if isinstance(target, int):
-            target = TargetModel(target)
+    def __init__(self, name: str, target: TargetModel | int, policy: str,
+                 outstanding: int, trace: TraceRecorder | None):
+        if policy not in POLICIES:
+            raise ValueError(f"unknown arbitration policy: {policy!r}")
+        self.target = TargetModel(target) if isinstance(target, int) else target
         if outstanding < 1:
             raise ValueError("outstanding cap must be >= 1")
-        self.target = target
+        self.name = name
+        self.policy = policy
         self.outstanding = outstanding
-        self._channels = {"read": _AxiChannel(), "write": _AxiChannel()}
+        self.trace = trace
+        self.masters: list[str] = []
+        self.completed: list[Transaction] = []
+        self._next_id = 0
+        self._ids_twice: list[int] = []   # 0..n-1 twice: any rotation is a slice
+        read = _Channel()
+        self._channels = [read] if self._serial else [read, _Channel()]
+        self._channel_of = {"read": read, "write": self._channels[-1]}
 
-    def _added_master(self):
-        for ch in self._channels.values():
+    def add_master(self, label: str) -> int:
+        """Register a master; ids are assigned in registration order."""
+        self.masters.append(label)
+        for ch in self._channels:
             ch.queues.append(deque())
             ch.in_flight.append(0)
+        n = len(self.masters)
+        self._ids_twice = [*range(n)] * 2
+        return n - 1
+
+    def port(self, master_id: int) -> MasterPort:
+        return MasterPort(self, master_id)
 
     def submit(self, master_id: int, kind: str, address: int,
                size_bytes: int, now: int) -> Transaction:
-        txn = self._new_txn(master_id, kind, address, size_bytes, now)
-        self._channels[kind].queues[master_id].append(txn)
+        if not 0 <= master_id < len(self.masters):
+            raise UnknownMaster(f"master id {master_id} not registered on {self.name}")
+        ch = self._channel_of.get(kind)
+        if ch is None:
+            raise ValueError(f"transaction kind must be 'read' or 'write', got {kind!r}")
+        txn = Transaction(self._next_id, master_id, kind, address & 0xFFFFFFFF,
+                          beats_for(size_bytes), now)
+        self._next_id += 1
+        ch.queues[master_id].append(txn)
+        if self.trace:
+            self.trace.bus(now, self.name, "REQ", master_id, txn.txn_id)
         return txn
 
     def begin_cycle(self, now: int):
-        for ch in self._channels.values():
-            active = ch.active
-            while active and active[0].complete_cycle <= now:
-                txn = active.popleft()
+        """Retire every granted transaction that completes by ``now``."""
+        for ch in self._channels:
+            granted = ch.granted
+            while granted and granted[0].complete_cycle <= now:
+                txn = granted.popleft()
                 txn.done = True
                 ch.in_flight[txn.master_id] -= 1
                 self.completed.append(txn)
@@ -272,38 +174,82 @@ class AxiBus(_BusBase):
                     self.trace.bus(txn.complete_cycle, self.name, "COMPLETE",
                                    txn.master_id, txn.txn_id)
 
+    def _pick(self, ch: _Channel) -> int | None:
+        """The first master with a request and room under the cap, scanning
+        from master 0 (fixed priority) or the round-robin pointer."""
+        queues, in_flight, cap = ch.queues, ch.in_flight, self.outstanding
+        start = ch.rr_next if self.policy == ROUND_ROBIN else 0
+        for m in self._ids_twice[start:start + len(queues)]:
+            if queues[m] and in_flight[m] < cap:
+                return m
+        return None
+
     def arbitrate(self, now: int):
-        for kind in ("read", "write"):
-            ch = self._channels[kind]
-            eligible = [m for m, q in enumerate(ch.queues)
-                        if q and ch.in_flight[m] < self.outstanding]
-            if not eligible:
+        """Grant at most one waiting request per channel."""
+        for ch in self._channels:
+            if self._serial and ch.granted:
                 continue
-            m = _pick(eligible, self.policy, ch.rr_next, len(self.masters))
+            m = self._pick(ch)
+            if m is None:
+                continue
             txn = ch.queues[m].popleft()
             txn.grant_cycle = now
             first_beat = max(now + self.target.first_latency, ch.next_beat_free)
-            txn.complete_cycle = first_beat + txn.beats - 1
-            ch.next_beat_free = txn.complete_cycle + 1
+            last_beat = first_beat + txn.beats - 1
+            ch.next_beat_free = last_beat + 1
+            txn.complete_cycle = last_beat + 1 if self._serial else last_beat
             ch.in_flight[m] += 1
-            ch.active.append(txn)
+            ch.granted.append(txn)
             ch.rr_next = (m + 1) % len(self.masters)
             if self.trace:
                 self.trace.bus(now, self.name, "GRANT", m, txn.txn_id)
-                for b in range(txn.beats):
-                    self.trace.bus(first_beat + b, self.name, "BEAT", m, txn.txn_id)
+                if not self._serial:
+                    for b in range(txn.beats):
+                        self.trace.bus(first_beat + b, self.name, "BEAT", m, txn.txn_id)
 
     def next_event(self, now: int) -> int | None:
+        """The earliest retirement, or ``now + 1`` while a channel that may
+        grant has waiting requests; None when nothing is pending."""
         nxt = None
-        for ch in self._channels.values():
-            if ch.active and (nxt is None or ch.active[0].complete_cycle < nxt):
-                nxt = ch.active[0].complete_cycle
-            if any(ch.queues):
-                cand = now + 1
-                if nxt is None or cand < nxt:
-                    nxt = cand
+        for ch in self._channels:
+            if ch.granted:
+                head = ch.granted[0].complete_cycle
+                if nxt is None or head < nxt:
+                    nxt = head
+                if self._serial:
+                    continue
+            if any(ch.queues) and (nxt is None or now + 1 < nxt):
+                nxt = now + 1
         return nxt
 
     def idle(self) -> bool:
-        return all(not ch.active and not any(ch.queues)
-                   for ch in self._channels.values())
+        return not any(ch.granted or any(ch.queues) for ch in self._channels)
+
+
+class AhbBus(_Bus):
+    """Single-occupancy bus: transactions serialize, one at a time."""
+
+    kind = "ahb"
+    _serial = True
+
+    def __init__(self, name: str, target: TargetModel | int = 1,
+                 policy: str = FIXED_PRIORITY, trace: TraceRecorder | None = None):
+        super().__init__(name, target, policy, 1, trace)
+
+    def busy_cycles_between(self, lo: int, hi: int) -> int:
+        """Bus-occupied cycles in [lo, hi), from granted transactions."""
+        return sum(max(0, min(t.complete_cycle, hi) - max(t.grant_cycle, lo))
+                   for t in (*self.completed, *self._channels[0].granted))
+
+
+class AxiBus(_Bus):
+    """Split-channel bus: reads and writes proceed independently and
+    overlap up to the per-master outstanding cap."""
+
+    kind = "axi"
+    _serial = False
+
+    def __init__(self, name: str, target: TargetModel | int = 1,
+                 policy: str = FIXED_PRIORITY, outstanding: int = 1,
+                 trace: TraceRecorder | None = None):
+        super().__init__(name, target, policy, outstanding, trace)

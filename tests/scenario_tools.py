@@ -21,12 +21,12 @@ class Scenario:
     script: list  # (master_id, request_cycle, kind, size_bytes)
 
 
-def random_scenarios(seed: int, count: int):
-    """Small scenarios: <= 3 masters, <= 30 transactions, L <= 3."""
+def random_scenarios(seed: int, count: int, max_masters: int = 3):
+    """Small scenarios: <= max_masters masters, <= 30 transactions, L <= 3."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        n_masters = rng.randint(1, 3)
+        n_masters = rng.randint(1, max_masters)
         n_txns = rng.randint(1, 30)
         script = [
             (rng.randrange(n_masters),

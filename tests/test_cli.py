@@ -149,6 +149,29 @@ def test_missing_subcommand_exits_1(capsys):
     assert excinfo.value.code == 1
 
 
+@pytest.mark.parametrize("option,value,bound", [
+    ("--max-cycles", "-3", ">= 1"),
+    ("--seed", "-1", ">= 0"),
+], ids=["max-cycles", "seed"])
+def test_override_below_loader_bound_exits_1(capsys, option, value, bound):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", str(SAMPLES / "two_masters_ahb.yaml"), option, value])
+    assert excinfo.value.code == 1
+    captured = capsys.readouterr()
+    assert f"argument {option}: must be {bound}, got {value}" in captured.err
+    assert captured.out == ""
+
+
+def test_run_malformed_yaml_exits_2_naming_file_once(tmp_path, capsys):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text("name: x\nbuses: [\n  {name: a\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(cfg))
+    assert code == 2
+    assert err.count(str(cfg)) == 1
+    assert "invalid YAML" in err and "line 3" in err
+    assert out == ""
+
+
 def test_trace_contains_grant_rows_at_0_and_3(tmp_path, capsys):
     trace_path = tmp_path / "trace.csv"
     code, out, _ = run_cli(capsys, "trace", str(SAMPLES / "two_masters_ahb.yaml"),

@@ -1,5 +1,6 @@
 """Topology building, victim behavior, runs, and baseline/contended pairs."""
 
+import random
 from pathlib import Path
 
 import pytest
@@ -283,6 +284,58 @@ def test_manual_stepping_equals_run_trace():
     for _ in range(run_sim.now):
         step_sim.step_cycle()
     assert step_sim.trace.bus_csv() == run_sim.trace.bus_csv()
+
+
+def random_topology(rng: random.Random) -> dict:
+    """A topology mapping: 1-3 mixed AHB/AXI buses, victims, and injectors
+    with random inline programs, modes and programming paths.  Victims
+    come first, so fixed priority cannot starve them."""
+    buses = []
+    for b in range(rng.randint(1, 3)):
+        bus = {"name": f"bus{b}", "kind": rng.choice(("ahb", "axi")),
+               "L": rng.randint(1, 4),
+               "policy": rng.choice(("fixed_priority", "round_robin"))}
+        if bus["kind"] == "axi":
+            bus["O"] = rng.randint(1, 3)
+        buses.append(bus)
+    victims = [{"name": f"v{i}", "bus": rng.choice(buses)["name"], "role": "victim",
+                "victim": {"period": rng.randint(1, 30), "count": rng.randint(1, 8),
+                           "kind": rng.choice(("read", "write")),
+                           "address": rng.randrange(0, 1 << 32, 4),
+                           "size_bytes": rng.choice((1, 4, 8, 16, 64))}}
+               for i in range(rng.randint(1, 3))]
+    injectors = []
+    for i in range(rng.randint(0, 3)):
+        program = []
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.choice(("read", "write", "read_fix", "write_fix", "delay"))
+            entry = {"kind": kind, "reps": rng.randint(1, 3),
+                     "irq_on_done": rng.random() < 0.5}
+            if kind == "delay":
+                entry["delay_cycles"] = rng.randint(1, 20)
+            else:
+                entry.update(address=rng.randrange(0, 1 << 20, 4),
+                             size_bytes=rng.choice((1, 4, 12, 32, 64)))
+            program.append(entry)
+        ctrl = [flag for flag in ("loop", "pipe") if rng.random() < 0.5]
+        injectors.append({"name": f"inj{i}", "bus": rng.choice(buses)["name"],
+                          "role": "injector",
+                          "injector": {"descriptors": program, "ctrl": ctrl,
+                                       "program_at": rng.randint(0, 40),
+                                       "program_via": rng.choice(("apb", "data_bus"))}})
+    return {"buses": buses, "masters": victims + injectors, "max_cycles": 3000}
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_run_equals_step_cycle_on_random_topology(seed):
+    topo = load_topology(random_topology(random.Random(seed)))
+    run_sim = build(topo, trace_enabled=True)
+    run_sim.run()
+    step_sim = build(topo, trace_enabled=True)
+    for _ in range(run_sim.now):
+        step_sim.step_cycle()
+    assert step_sim.trace.bus_csv() == run_sim.trace.bus_csv()
+    assert step_sim.trace.injector_csv() == run_sim.trace.injector_csv()
 
 
 def test_injector_finishes_nonloop_program():

@@ -1,12 +1,20 @@
 """Cycle-exact equivalence of both bus models against the naive
 brute-force reference simulators."""
 
+import pytest
+
 import reference_sim
 import scenario_tools
 
+# 12 masters check round-robin wrap-around and fixed priority with many
+# masters pending at once.
+MASTER_BOUNDS = [3, 12]
 
-def test_ahb_matches_reference_on_randomized_scenarios():
-    scenarios = scenario_tools.random_scenarios(seed=0xA4B, count=50)
+
+@pytest.mark.parametrize("max_masters", MASTER_BOUNDS)
+def test_ahb_matches_reference_on_randomized_scenarios(max_masters):
+    scenarios = scenario_tools.random_scenarios(seed=0xA4B, count=50,
+                                                max_masters=max_masters)
     for i, sc in enumerate(scenarios):
         ref = reference_sim.simulate_ahb(sc.script, sc.n_masters, sc.latency,
                                          sc.policy)
@@ -27,8 +35,10 @@ def test_ahb_busy_cycles_match_reference():
         assert model_busy == sum(sc.latency + t.beats for t in txns)
 
 
-def test_axi_matches_reference_on_randomized_scenarios():
-    scenarios = scenario_tools.random_scenarios(seed=0xE51, count=50)
+@pytest.mark.parametrize("max_masters", MASTER_BOUNDS)
+def test_axi_matches_reference_on_randomized_scenarios(max_masters):
+    scenarios = scenario_tools.random_scenarios(seed=0xE51, count=50,
+                                                max_masters=max_masters)
     for i, sc in enumerate(scenarios):
         ref = reference_sim.simulate_axi(sc.script, sc.n_masters, sc.latency,
                                          sc.policy, sc.outstanding)
