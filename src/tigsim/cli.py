@@ -61,6 +61,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=_int_at_least(0), help="override the config seed")
         p.add_argument("--trace", required=name == "trace",
                        help="bus event trace CSV path")
+        p.add_argument("--trace-injector", metavar="PATH",
+                       help="injector event trace CSV path")
     return parser
 
 
@@ -99,20 +101,22 @@ def cmd_compile(args) -> int:
 
 
 def cmd_run(args) -> int:
-    if args.pair and args.trace is not None:
-        print("tigsim: --trace cannot be combined with --pair "
-              "(two runs, two traces)", file=sys.stderr)
-        return EXIT_USAGE
+    traces = {"--trace": args.trace, "--trace-injector": args.trace_injector}
+    for flag, path in traces.items():
+        if args.pair and path is not None:
+            print(f"tigsim: {flag} cannot be combined with --pair "
+                  "(two runs, two traces)", file=sys.stderr)
+            return EXIT_USAGE
     try:
         topology = harness.load_topology(args.config)
         if args.seed is not None:
             topology = dataclasses.replace(topology, seed=args.seed)
-        trace_enabled = args.trace is not None
         if args.pair:
             result = harness.run_pair(topology, max_cycles=args.max_cycles)
             records = [result.baseline, result.contended]
             trace = None
         else:
+            trace_enabled = any(path is not None for path in traces.values())
             sim = harness.build(topology, trace_enabled=trace_enabled)
             records = [sim.run(args.max_cycles)]
             trace = sim.trace
@@ -128,8 +132,10 @@ def cmd_run(args) -> int:
         return EXIT_LIMIT
 
     _write_text(args.out, metrics.emit_csv(records))
-    if args.trace is not None and trace is not None:
+    if args.trace is not None:
         Path(args.trace).write_text(trace.bus_csv(), encoding="utf-8")
+    if args.trace_injector is not None:
+        Path(args.trace_injector).write_text(trace.injector_csv(), encoding="utf-8")
     return EXIT_OK
 
 

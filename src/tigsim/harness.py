@@ -13,10 +13,13 @@ reproduces the older architecture in which every buffer and control
 write travels over the shared data bus as an ordinary write transaction
 before injection starts.
 
-The simulation advances one cycle at a time in three phases (bus retire,
-master step, bus arbitrate) and may jump over provably idle stretches;
-both paths produce identical traces.  Everything is deterministic:
-identical topology in, identical metrics and trace bytes out.
+``step_cycle`` advances one cycle in three phases (bus retire, master
+step, bus arbitrate) and steps every master.  ``run`` visits only the
+cycles at which something is due and steps only the masters due then,
+those whose own ``next_event`` falls there or whose bus transaction
+retires, in registration order: both give identical traces.  Everything
+is deterministic: identical topology in, identical metrics and trace
+bytes out.
 
 Topology files are YAML; the schema is documented in config-schema.md.
 """
@@ -24,6 +27,7 @@ Topology files are YAML; the schema is documented in config-schema.md.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import re
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -352,7 +356,8 @@ class Victim:
         self.ready_cycle = 0
 
     @property
-    def finished(self) -> bool:
+    def terminal(self) -> bool:
+        """True once every access has completed."""
         return self.issued >= self.spec.count and self.pending is None
 
     def step(self, now: int):
@@ -369,7 +374,7 @@ class Victim:
                 self.issued += 1
 
     def next_event(self, now: int) -> int | None:
-        if self.pending is not None or self.finished:
+        if self.pending is not None or self.terminal:
             return None
         return max(now + 1, self.issued * self.spec.period, self.ready_cycle)
 
@@ -462,9 +467,11 @@ class Simulation:
                              trace=self.trace)
             self.buses[spec.name] = bus
         self._bus_list = list(self.buses.values())
+        self._owners = {name: [] for name in self.buses}  # master_id -> index
         self.victims: list[Victim] = []
         self.hosts: list[InjectorHost] = []
         self._masters = []
+        self._wakeups: list[int] = []   # heap of the cycles on the calendar
 
     def injector(self, name: str) -> Injector:
         for host in self.hosts:
@@ -474,31 +481,21 @@ class Simulation:
 
     # -- stepping -----------------------------------------------------------
 
-    def _process(self, now: int):
-        for bus in self._bus_list:
-            bus.begin_cycle(now)
-        for master in self._masters:
-            master.step(now)
-        for bus in self._bus_list:
-            bus.arbitrate(now)
-
     def step_cycle(self):
-        """Advance exactly one cycle (manual stepping for experiments)."""
-        self._process(self.now)
+        """Advance exactly one cycle, stepping every master (run's reference)."""
+        for bus in self._bus_list:
+            bus.begin_cycle(self.now)
+        for master in self._masters:
+            master.step(self.now)
+        for bus in self._bus_list:
+            bus.arbitrate(self.now)
         self.now += 1
 
-    def _terminated(self) -> bool:
-        return (all(v.finished for v in self.victims)
-                and all(h.terminal for h in self.hosts))
-
     def _next_event(self, now: int) -> int | None:
-        nxt = None
+        """The earliest master wakeup on the calendar or bus event."""
+        nxt = self._wakeups[0] if self._wakeups else None
         for bus in self._bus_list:
             c = bus.next_event(now)
-            if c is not None and (nxt is None or c < nxt):
-                nxt = c
-        for master in self._masters:
-            c = master.next_event(now)
             if c is not None and (nxt is None or c < nxt):
                 nxt = c
         return nxt
@@ -508,10 +505,36 @@ class Simulation:
         limit = max_cycles if max_cycles is not None else self.topology.max_cycles
         now = self.now
         last = now - 1
+        masters = self._masters
+        buses = [(bus, self._owners[name]) for name, bus in self.buses.items()]
+        live = set(range(len(masters)))    # masters that may block termination
+        # cycle -> indices of the masters due then; a heap of registered cycles.
+        calendar = {now: set(live)}
+        wakeups = self._wakeups = [now]
         while now < limit:
-            self._process(now)
+            due = calendar.pop(now, set())
+            while wakeups and wakeups[0] == now:
+                heapq.heappop(wakeups)
+            for bus, owners in buses:
+                completed = bus.completed
+                retired = len(completed)
+                bus.begin_cycle(now)
+                while retired < len(completed):     # wake the retirements' owners
+                    due.add(owners[completed[retired].master_id])
+                    retired += 1
+            for i in sorted(due):
+                masters[i].step(now)
+            for bus, _ in buses:
+                bus.arbitrate(now)
             last = now
-            if self._terminated():
+            for i in due:
+                if i in live and masters[i].terminal:
+                    live.discard(i)
+                wake = masters[i].next_event(now)
+                if wake is not None:
+                    calendar.setdefault(wake, set()).add(i)
+                    heapq.heappush(wakeups, wake)
+            if not live:
                 self.finished = True
                 break
             nxt = self._next_event(now)
@@ -553,6 +576,7 @@ def build(topology: Topology, trace_enabled: bool = False,
     for spec in topology.masters:
         bus = sim.buses[spec.bus]
         master_id = bus.add_master(spec.name)
+        sim._owners[spec.bus].append(len(sim._masters))
         port = bus.port(master_id)
         if spec.role == "victim":
             master = Victim(spec.name, spec.victim, port)

@@ -281,3 +281,25 @@ def test_run_unknown_or_other_role_key_exits_2(tmp_path, capsys, edit, path):
     assert f": {path}:" in err
     assert "Traceback" not in err
     assert out == ""
+
+
+def test_run_trace_injector_writes_the_injector_trace(tmp_path, capsys):
+    from tigsim.harness import build, load_topology
+    inj_path = tmp_path / "injector.csv"
+    code, out, _ = run_cli(capsys, "run", str(SAMPLES / "dual_bus.yaml"),
+                           "--trace-injector", str(inj_path))
+    assert code == 0
+    assert out.startswith("scenario,")
+    sim = build(load_topology(SAMPLES / "dual_bus.yaml"), trace_enabled=True)
+    sim.run()
+    assert inj_path.read_text(encoding="utf-8") == sim.trace.injector_csv()
+    assert list(tmp_path.iterdir()) == [inj_path]  # no bus trace was asked for
+
+
+def test_trace_injector_with_pair_exits_1(tmp_path, capsys):
+    inj_path = tmp_path / "injector.csv"
+    code, out, err = run_cli(capsys, "run", str(SAMPLES / "two_masters_ahb.yaml"),
+                             "--pair", "--trace-injector", str(inj_path))
+    assert code == 1
+    assert "--trace-injector cannot be combined with --pair" in err
+    assert out == "" and not inj_path.exists()

@@ -19,6 +19,7 @@ from tigsim.harness import (
     run,
     run_pair,
 )
+from tigsim.metrics import emit_csv
 
 SAMPLES = Path(__file__).parent.parent / "samples"
 
@@ -286,56 +287,153 @@ def test_manual_stepping_equals_run_trace():
     assert step_sim.trace.bus_csv() == run_sim.trace.bus_csv()
 
 
-def random_topology(rng: random.Random) -> dict:
+def random_program(rng: random.Random, dsl: bool) -> list[dict]:
+    """1-4 random inline descriptor entries.  A DSL program leaves out
+    what the DSL cannot spell: irq flags and delay repetitions."""
+    program = []
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.choice(("read", "write", "read_fix", "write_fix", "delay"))
+        if kind == "delay":
+            entry = {"kind": kind, "delay_cycles": rng.randint(1, 20)}
+        else:
+            entry = {"kind": kind, "address": rng.randrange(0, 1 << 20, 4),
+                     "size_bytes": rng.choice((1, 4, 12, 32, 64)),
+                     "reps": rng.randint(1, 3)}
+        if not dsl:
+            entry.update(reps=rng.randint(1, 3), irq_on_done=rng.random() < 0.5)
+        program.append(entry)
+    return program
+
+
+def tig_source(program: list[dict]) -> str:
+    return "".join(
+        f"delay {e['delay_cycles']}\n" if e["kind"] == "delay" else
+        f"{e['kind']} {e['address']:#x} size={e['size_bytes']} reps={e['reps']}\n"
+        for e in program)
+
+
+def random_topology(rng: random.Random, pattern_dir: Path) -> dict:
     """A topology mapping: 1-3 mixed AHB/AXI buses, victims, and injectors
-    with random inline programs, modes and programming paths.  Victims
-    come first, so fixed priority cannot starve them."""
+    with random programs (inline, or .tig files written to pattern_dir),
+    modes and programming paths.  About a quarter of the seeds crowd up
+    to 12 masters onto one bus.  Victims come first, so fixed priority
+    cannot starve them."""
+    crowded = rng.random() < 0.25
     buses = []
-    for b in range(rng.randint(1, 3)):
+    for b in range(1 if crowded else rng.randint(1, 3)):
         bus = {"name": f"bus{b}", "kind": rng.choice(("ahb", "axi")),
                "L": rng.randint(1, 4),
                "policy": rng.choice(("fixed_priority", "round_robin"))}
         if bus["kind"] == "axi":
             bus["O"] = rng.randint(1, 3)
         buses.append(bus)
+    per_role = 6 if crowded else 3
     victims = [{"name": f"v{i}", "bus": rng.choice(buses)["name"], "role": "victim",
                 "victim": {"period": rng.randint(1, 30), "count": rng.randint(1, 8),
                            "kind": rng.choice(("read", "write")),
                            "address": rng.randrange(0, 1 << 32, 4),
                            "size_bytes": rng.choice((1, 4, 8, 16, 64))}}
-               for i in range(rng.randint(1, 3))]
+               for i in range(rng.randint(1, per_role))]
     injectors = []
-    for i in range(rng.randint(0, 3)):
-        program = []
-        for _ in range(rng.randint(1, 4)):
-            kind = rng.choice(("read", "write", "read_fix", "write_fix", "delay"))
-            entry = {"kind": kind, "reps": rng.randint(1, 3),
-                     "irq_on_done": rng.random() < 0.5}
-            if kind == "delay":
-                entry["delay_cycles"] = rng.randint(1, 20)
-            else:
-                entry.update(address=rng.randrange(0, 1 << 20, 4),
-                             size_bytes=rng.choice((1, 4, 12, 32, 64)))
-            program.append(entry)
-        ctrl = [flag for flag in ("loop", "pipe") if rng.random() < 0.5]
+    for i in range(rng.randint(0, per_role)):
+        dsl = rng.random() < 0.4
+        program = random_program(rng, dsl)
+        injector = {"ctrl": [flag for flag in ("loop", "pipe") if rng.random() < 0.5],
+                    "program_at": rng.randint(0, 40),
+                    "program_via": rng.choice(("apb", "data_bus"))}
+        if dsl:
+            (pattern_dir / f"inj{i}.tig").write_text(tig_source(program), encoding="utf-8")
+            injector["pattern"] = f"inj{i}.tig"
+        else:
+            injector["descriptors"] = program
         injectors.append({"name": f"inj{i}", "bus": rng.choice(buses)["name"],
-                          "role": "injector",
-                          "injector": {"descriptors": program, "ctrl": ctrl,
-                                       "program_at": rng.randint(0, 40),
-                                       "program_via": rng.choice(("apb", "data_bus"))}})
+                          "role": "injector", "injector": injector})
     return {"buses": buses, "masters": victims + injectors, "max_cycles": 3000}
 
 
+def run_record(sim):
+    """The record of sim.run(), partial when it hit the cycle limit."""
+    try:
+        return sim.run()
+    except CycleLimitExceeded as exc:
+        return exc.records[0]
+
+
 @pytest.mark.parametrize("seed", range(60))
-def test_run_equals_step_cycle_on_random_topology(seed):
-    topo = load_topology(random_topology(random.Random(seed)))
+def test_run_equals_step_cycle_on_random_topology(seed, tmp_path):
+    topo = load_topology(random_topology(random.Random(seed), tmp_path),
+                         base_dir=tmp_path)
     run_sim = build(topo, trace_enabled=True)
-    run_sim.run()
+    record = run_record(run_sim)
     step_sim = build(topo, trace_enabled=True)
     for _ in range(run_sim.now):
         step_sim.step_cycle()
     assert step_sim.trace.bus_csv() == run_sim.trace.bus_csv()
     assert step_sim.trace.injector_csv() == run_sim.trace.injector_csv()
+    stepped = step_sim._collect(cycles=step_sim.now, partial=record.partial)
+    assert emit_csv([stepped]) == emit_csv([record])
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_conservation_on_random_topology(seed, tmp_path):
+    """Nothing a master submits is lost, duplicated or mis-sized."""
+    topo = load_topology(random_topology(random.Random(seed), tmp_path),
+                         base_dir=tmp_path)
+    sim = build(topo)
+    submitted = {bus.name: [] for bus in sim.buses.values()}
+    for bus in sim.buses.values():
+        def submit(master_id, kind, address, size_bytes, now,
+                   _submit=bus.submit, _log=submitted[bus.name]):
+            txn = _submit(master_id, kind, address, size_bytes, now)
+            _log.append((txn, size_bytes))
+            return txn
+        bus.submit = submit
+    record = run_record(sim)
+
+    beats = dict.fromkeys(record.masters, 0)
+    for name, txn in sim.transactions():
+        beats[name] += txn.beats
+    for name, mm in record.masters.items():
+        assert mm.total_bytes == 4 * beats[name], name
+
+    for bus in sim.buses.values():
+        log = submitted[bus.name]
+        assert all(txn.beats == -(-size // 4) for txn, size in log)
+        for master_id, name in enumerate(bus.masters):
+            waiting = sum(len(ch.queues[master_id]) for ch in bus._channels)
+            granted = sum(t.master_id == master_id
+                          for ch in bus._channels for t in ch.granted)
+            submits = sum(txn.master_id == master_id for txn, _ in log)
+            assert submits == record.masters[name].txn_count + waiting + granted, name
+        if bus.kind == "ahb":
+            # An AHB grant waits for the previous completion, so the bus
+            # is busy exactly L + beats cycles per transaction up to the
+            # last completion, and a transaction still in flight adds none.
+            end = max((t.complete_cycle for t in bus.completed), default=0)
+            assert bus.busy_cycles_between(0, end) == sum(
+                bus.target.first_latency + t.beats for t in bus.completed)
+
+
+def test_run_steps_a_waiting_victim_only_when_due():
+    """The scheduler wakes a master at its own events, not at every event
+    of a saturating neighbour: a victim steps once at the start, then at
+    each issue cycle and each completion."""
+    count = 5
+    topo = Topology(
+        buses=(BusSpec("ahb0", "ahb", 2, "fixed_priority"),),
+        masters=(MasterSpec("core0", "ahb0", "victim",
+                            victim=victim_spec(period=1000, count=count)),
+                 MasterSpec("inj0", "ahb0", "injector", injector=loop_injector())),
+    )
+    sim = build(topo)
+    victim = sim.victims[0]
+    steps = []
+    step = victim.step
+    victim.step = lambda now: (steps.append(now), step(now))[1]
+    record = sim.run()
+    assert record.masters["core0"].txn_count == count
+    assert record.masters["inj0"].txn_count > 1000
+    assert len(steps) <= 2 * count + 1
 
 
 def test_injector_finishes_nonloop_program():
