@@ -26,6 +26,6 @@ from .harness import (
 from .injector import CapacityExceeded, Injector, OffsetOutOfRange
 from .interconnect import AhbBus, AxiBus, TargetModel, Transaction, beats_for
 from .metrics import MetricsRecord, emit_csv, percentile
-from .pattern import PatternProgram, PatternRangeError, PatternSyntaxError, parse
+from .pattern import PatternRangeError, PatternSyntaxError, parse
 
 __version__ = "0.1.0"

@@ -83,10 +83,12 @@ def _write_bytes(path: str | None, blob: bytes):
 def cmd_compile(args) -> int:
     try:
         descriptors = pattern.compile_file(args.pattern)
+        # Every format must fit the buffer; the APB sequence states the rule.
+        sequence = pattern.emit_apb_sequence(descriptors)
     except OSError as exc:
         print(f"tigsim: cannot read {args.pattern}: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except pattern.PatternError as exc:
+    except (pattern.PatternError, pattern.CapacityExceeded) as exc:
         print(f"tigsim: {args.pattern}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.format == "bin":
@@ -94,8 +96,7 @@ def cmd_compile(args) -> int:
     elif args.format == "hex":
         _write_text(args.out, pattern.render_hex(descriptors))
     else:
-        _write_text(args.out, pattern.render_apb_csv(
-            pattern.emit_apb_sequence(descriptors)))
+        _write_text(args.out, pattern.render_apb_csv(sequence))
     print(f"tigsim: compiled {len(descriptors)} descriptors", file=sys.stderr)
     return EXIT_OK
 

@@ -216,7 +216,7 @@ def _load_inline_descriptors(raw, path) -> list[dm.Descriptor]:
             statements.append(pat.statement(pat.KINDS[kind_name], values))
         except dm.InvalidDescriptor as exc:
             raise ConfigError(f"{epath}.{exc.field}", str(exc)) from None
-    return pat.lower(pat.PatternProgram(tuple(statements)))
+    return pat.lower(statements)
 
 
 def _load_injector(raw, path, base_dir: Path) -> InjectorSpec:

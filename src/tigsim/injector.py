@@ -21,14 +21,18 @@ offsets are ignored; offsets at or beyond 0x800 raise OffsetOutOfRange.
 
 Execution engine.  Descriptors pass through fetch (1 cycle), decode
 (1 cycle), and execute.  Execute presents one data-bus request per
-repetition, back to back, or counts down delay cycles for DELAY.  In
-pipelined mode (PIPE_EN=1) the fetch/decode of descriptor i+1 overlaps
-the execution of descriptor i, so consecutive descriptors issue with no
-idle gap whenever execution lasts at least two cycles.  In legacy mode
-the fetch of i+1 only starts once i has fully completed, which costs a
-two-cycle bubble between descriptors.  Invalid descriptors set ERR and
-halt injection.  With LOOP set the program wraps from the last
-descriptor back to index 0 and DONE is never raised.
+repetition, back to back, or counts down delay cycles for DELAY.  The
+engine holds one prefetch slot beside the executing descriptor: a fetch
+fills the slot with the buffer words, decode turns them into a
+descriptor one cycle later, and execute takes it from the slot one cycle
+after that.  In pipelined mode (PIPE_EN=1) the fetch of descriptor i+1
+happens when i starts executing, so consecutive descriptors issue with
+no idle gap whenever execution lasts at least two cycles.  In legacy
+mode the fetch of i+1 happens when i retires, which costs a two-cycle
+bubble between descriptors.  Any retirement with nothing prefetched
+fetches, so PIPE_EN and LOOP may change mid-run.  Invalid descriptors
+set ERR and halt injection.  With LOOP set the program wraps from the
+last descriptor back to index 0 and DONE is never raised.
 
 Timing reference (pipelined, one single-beat descriptor, bus occupancy
 2 cycles, enabled before cycle 0): fetch at cycle 0, decode at 1, bus
@@ -84,13 +88,16 @@ class CapacityExceeded(ValueError):
 
 
 class _Slot:
-    """A pipeline stage result that becomes usable at ready_at."""
+    """The prefetched descriptor: its buffer words (None past the buffer
+    end), its decoded form (None until decoded), and the cycle at which
+    the next stage may take it."""
 
-    __slots__ = ("index", "payload", "ready_at")
+    __slots__ = ("index", "words", "desc", "ready_at")
 
-    def __init__(self, index, payload, ready_at):
+    def __init__(self, index, words, ready_at):
         self.index = index
-        self.payload = payload
+        self.words = words
+        self.desc = None
         self.ready_at = ready_at
 
 
@@ -166,14 +173,12 @@ class Injector:
             self._start_program()
         elif not value & CTRL_EN and old & CTRL_EN:
             # Disable freezes the engine; status flags are preserved.
-            self._fetch = None
-            self._decoded = None
+            self._next = None
             self._exec = None
             self._armed = False
 
     def _clear_run_state(self):
-        self._fetch: _Slot | None = None
-        self._decoded: _Slot | None = None
+        self._next: _Slot | None = None
         self._exec: _Exec | None = None
         self._armed = False
         self._done = False
@@ -187,14 +192,6 @@ class Injector:
         self._armed = True
 
     # -- status -------------------------------------------------------------
-
-    @property
-    def pipelined(self) -> bool:
-        return bool(self._ctrl & CTRL_PIPE_EN)
-
-    @property
-    def looping(self) -> bool:
-        return bool(self._ctrl & CTRL_LOOP)
 
     @property
     def enabled(self) -> bool:
@@ -211,8 +208,7 @@ class Injector:
     @property
     def busy(self) -> bool:
         return (self.enabled and not self._done and not self._err
-                and (self._armed or self._fetch is not None
-                     or self._decoded is not None or self._exec is not None))
+                and (self._armed or self._next is not None or self._exec is not None))
 
     @property
     def completed_count(self) -> int:
@@ -225,11 +221,9 @@ class Injector:
             return FSM_DONE
         if self._exec is not None:
             return FSM_EXEC
-        if self._decoded is not None:
-            return FSM_DECODE
-        if self._fetch is not None or self._armed:
-            return FSM_FETCH
-        return FSM_IDLE
+        if self._next is not None:
+            return FSM_FETCH if self._next.desc is None else FSM_DECODE
+        return FSM_FETCH if self._armed else FSM_IDLE
 
     def _status_value(self) -> int:
         return (
@@ -250,10 +244,12 @@ class Injector:
             if self.trace:
                 self.trace.injector(now, self.name, "CTRL", "start")
             self._fetch_desc(0, now)
-        if not self.enabled or self._err or self._done:
+        if not self._ctrl & CTRL_EN or self._err or self._done:
             return
         self._run_exec(now)
-        self._run_decode(now)
+        nxt = self._next
+        if nxt is not None and nxt.desc is None and nxt.ready_at <= now:
+            self._decode(nxt, now)
 
     def next_event(self, now: int) -> int | None:
         """Earliest future cycle at which step() would make progress.
@@ -261,48 +257,59 @@ class Injector:
         Waits on in-flight bus transactions are excluded: the bus reports
         those completion cycles itself.
         """
-        if not self.enabled or self._err or self._done:
+        if not self._ctrl & CTRL_EN or self._err or self._done:
             return None
-        cands = []
         if self._armed:
-            cands.append(now + 1)
-        if self._fetch is not None:
-            cands.append(max(now + 1, self._fetch.ready_at))
-        if self._exec is None and self._decoded is not None:
-            cands.append(max(now + 1, self._decoded.ready_at))
-        if self._exec is not None and self._exec.delay_end is not None:
-            cands.append(max(now + 1, self._exec.delay_end))
-        return min(cands) if cands else None
+            return now + 1
+        due = None
+        nxt, st = self._next, self._exec
+        if nxt is not None and (nxt.desc is None or st is None):
+            due = nxt.ready_at
+        end = st.delay_end if st is not None else None
+        if end is not None and (due is None or end < due):
+            due = end
+        return None if due is None else max(now + 1, due)
 
     def _run_exec(self, now: int):
         st = self._exec
-        if st is None:
-            st = self._try_start_desc(now)
-            if st is None:
-                return
-            self._issue(st, now)
-            return
-        while True:
-            if st.delay_end is not None:
-                if now < st.delay_end:
-                    return
-                st = self._retire_desc(st, now)
-            elif st.txn is not None:
+        if st is not None:
+            desc = st.desc
+            if st.delay_end is None:
                 if not st.txn.done:
                     return
-                st.txn = None
                 st.rep += 1
-                if st.rep < st.desc.reps:
-                    if not st.desc.kind.is_fixed:
-                        st.addr = (st.addr + st.desc.size_bytes) & 0xFFFFFFFF
+                if st.rep < desc.reps:
+                    if not desc.kind.is_fixed:
+                        st.addr = (st.addr + desc.size_bytes) & 0xFFFFFFFF
                     self._issue(st, now)
                     return
-                st = self._retire_desc(st, now)
-            else:
-                self._issue(st, now)
+            elif now < st.delay_end:
                 return
-            if st is None:
+            # Retire the descriptor.
+            self._exec = None
+            self._completed = min(self._completed + 1, COMPLETED_MAX)
+            if desc.irq_on_done and self._ctrl & CTRL_IRQ_EN:
+                self._irq = True
+            if self.trace:
+                self.trace.injector(now, self.name, "EXEC", f"desc_done idx={st.index}")
+            if desc.last and not self._ctrl & CTRL_LOOP:
+                self._done = True
+                if self.trace:
+                    self.trace.injector(now, self.name, "CTRL", "done")
                 return
+            if self._next is None:
+                # Legacy mode, or PIPE_EN/LOOP set since this descriptor
+                # started.  The fresh slot is not decoded: nothing starts below.
+                self._fetch_desc(self._next_index(desc, st.index), now)
+        # Start the prefetched descriptor once it is decoded and due.
+        nxt = self._next
+        if nxt is None or nxt.desc is None or nxt.ready_at > now:
+            return
+        self._next = None
+        self._exec = st = _Exec(nxt.index, nxt.desc)
+        if self._ctrl & CTRL_PIPE_EN:
+            self._fetch_desc(self._next_index(nxt.desc, nxt.index), now)
+        self._issue(st, now)
 
     def _issue(self, st: _Exec, now: int):
         desc = st.desc
@@ -319,46 +326,9 @@ class Injector:
             self.trace.injector(now, self.name, "EXEC",
                                 f"issue idx={st.index} rep={st.rep} addr={st.addr:#010x}")
 
-    def _retire_desc(self, st: _Exec, now: int) -> _Exec | None:
-        desc = st.desc
-        self._completed = min(self._completed + 1, COMPLETED_MAX)
-        if desc.irq_on_done and self._ctrl & CTRL_IRQ_EN:
-            self._irq = True
-        if self.trace:
-            self.trace.injector(now, self.name, "EXEC", f"desc_done idx={st.index}")
-        self._exec = None
-        if desc.last and not self.looping:
-            self._done = True
-            if self.trace:
-                self.trace.injector(now, self.name, "CTRL", "done")
-            return None
-        if self.pipelined:
-            nxt = self._try_start_desc(now)
-            if nxt is not None:
-                self._issue(nxt, now)
-            return self._exec
-        self._fetch_desc(self._next_index(desc, st.index), now)
-        return None
-
-    def _try_start_desc(self, now: int) -> _Exec | None:
-        dec = self._decoded
-        if dec is None or dec.ready_at > now:
-            return None
-        self._decoded = None
-        st = _Exec(dec.index, dec.payload)
-        self._exec = st
-        if self.pipelined:
-            self._arm_prefetch(dec.payload, dec.index, now)
-        return st
-
-    def _arm_prefetch(self, desc: dm.Descriptor, index: int, now: int):
-        nxt = self._next_index(desc, index)
-        if nxt is not None and self._fetch is None:
-            self._fetch_desc(nxt, now)
-
     def _next_index(self, desc: dm.Descriptor, index: int) -> int | None:
         if desc.last:
-            return 0 if self.looping else None
+            return 0 if self._ctrl & CTRL_LOOP else None
         return index + 1
 
     def _fetch_desc(self, index: int | None, now: int):
@@ -370,21 +340,16 @@ class Injector:
             words = None
         else:
             words = (self.buffer[word_index], self.buffer[word_index + 1])
-        self._fetch = _Slot(index, words, now + 1)
+        self._next = _Slot(index, words, now + 1)
         if self.trace:
             self.trace.injector(now, self.name, "FETCH", f"idx={index}")
 
-    def _run_decode(self, now: int):
-        slot = self._fetch
-        if slot is None or slot.ready_at > now or self._decoded is not None:
-            return
-        self._fetch = None
-        if slot.payload is None:
+    def _decode(self, slot: _Slot, now: int):
+        if slot.words is None:
             self._fail(slot.index, now, "off buffer end")
             return
-        w0, w1 = slot.payload
         try:
-            desc = dm.decode(dm.DescriptorWords(w0, w1))
+            desc = dm.decode(dm.DescriptorWords(*slot.words))
         except dm.DescriptorError as exc:
             self._fail(slot.index, now, str(exc))
             return
@@ -392,7 +357,8 @@ class Injector:
         if problems:
             self._fail(slot.index, now, "; ".join(problems))
             return
-        self._decoded = _Slot(slot.index, desc, now + 1)
+        slot.desc = desc
+        slot.ready_at = now + 1
         if self.trace:
             self.trace.injector(now, self.name, "DECODE", f"idx={slot.index}")
 
@@ -400,7 +366,6 @@ class Injector:
         self._err = True
         self._errinfo = min(2 * index, 0xFFFFFFFF)
         self._exec = None
-        self._decoded = None
-        self._fetch = None
+        self._next = None
         if self.trace:
             self.trace.injector(now, self.name, "CTRL", f"err idx={index} {reason}")

@@ -18,8 +18,8 @@ sequence that loads the program and enables the injector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Union
+from dataclasses import replace
+from typing import NamedTuple
 
 from . import descriptors as dm
 from .injector import (
@@ -53,39 +53,6 @@ class PatternRangeError(PatternError):
         self.field = field
 
 
-@dataclass(frozen=True)
-class Access:
-    kind: dm.Kind
-    address: int
-    size_bytes: int = 4
-    reps: int = 1
-    line: int = 0
-    irq_on_done: bool = False
-
-    def descriptor(self, last: bool = False) -> dm.Descriptor:
-        return dm.Descriptor(self.kind, self.address, self.size_bytes,
-                             self.reps, last, self.irq_on_done)
-
-
-@dataclass(frozen=True)
-class Delay:
-    cycles: int
-    line: int = 0
-    reps: int = 1
-    irq_on_done: bool = False
-
-    def descriptor(self, last: bool = False) -> dm.Descriptor:
-        return dm.Descriptor.delay(self.cycles, self.reps, last, self.irq_on_done)
-
-
-Stmt = Union[Access, Delay]
-
-
-@dataclass(frozen=True)
-class PatternProgram:
-    statements: tuple[Stmt, ...]
-
-
 # Statement and inline descriptor kind names: "read", "write_fix", "delay", ...
 KINDS = {kind.name.lower(): kind for kind in dm.Kind}
 
@@ -100,8 +67,8 @@ _DSL_FIELDS = {"size_bytes": "size", "delay_cycles": "delay"}
 CTRL_FLAG_BITS = {"loop": CTRL_LOOP, "irq": CTRL_IRQ_EN, "pipe": CTRL_PIPE_EN}
 
 
-def statement(kind: dm.Kind, values: dict, line: int = 0) -> Stmt:
-    """Build one statement from Descriptor field values.
+def statement(kind: dm.Kind, values: dict) -> dm.Descriptor:
+    """Build one descriptor, not marked last, from its field values.
 
     Both front ends, the DSL parser and inline topology descriptor lists,
     come through here, so they accept the same fields and the same ranges.
@@ -123,10 +90,7 @@ def statement(kind: dm.Kind, values: dict, line: int = 0) -> Stmt:
     problems = dm.validate(desc)
     if problems:
         raise dm.InvalidDescriptor(problems[0].field, problems[0])
-    if kind is dm.Kind.DELAY:
-        return Delay(desc.delay_cycles, line, desc.reps, desc.irq_on_done)
-    return Access(kind, desc.address, desc.size_bytes, desc.reps, line,
-                  desc.irq_on_done)
+    return desc
 
 
 def _parse_int(token: str, line: int, what: str) -> int:
@@ -163,9 +127,9 @@ def _parse_delay(args: list[str], line: int) -> dict:
     return {"delay_cycles": _parse_int(args[0], line, "a cycle count")}
 
 
-def parse(text: str) -> PatternProgram:
-    """Parse DSL source into a pattern program, preserving source order."""
-    statements: list[Stmt] = []
+def parse(text: str) -> list[dm.Descriptor]:
+    """Parse DSL source into descriptors in source order, none marked last."""
+    statements: list[dm.Descriptor] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -177,20 +141,20 @@ def parse(text: str) -> PatternProgram:
             raise PatternSyntaxError(lineno, f"unknown statement {head!r}")
         parse_args = _parse_delay if kind is dm.Kind.DELAY else _parse_access
         try:
-            statements.append(statement(kind, parse_args(args, lineno), lineno))
+            statements.append(statement(kind, parse_args(args, lineno)))
         except dm.InvalidDescriptor as exc:
             raise PatternRangeError(lineno, _DSL_FIELDS.get(exc.field, exc.field),
                                     str(exc)) from None
     if not statements:
         raise PatternSyntaxError(1, "empty pattern: no statements")
-    return PatternProgram(tuple(statements))
+    return statements
 
 
-def lower(program: PatternProgram) -> list[dm.Descriptor]:
-    """One descriptor per statement; only the final one has last=True."""
-    final = len(program.statements) - 1
-    return [stmt.descriptor(last=i == final)
-            for i, stmt in enumerate(program.statements)]
+def lower(statements: list[dm.Descriptor]) -> list[dm.Descriptor]:
+    """The statements as a program: the final one is marked last."""
+    if not statements:
+        return []
+    return [*statements[:-1], replace(statements[-1], last=True)]
 
 
 def compile_text(text: str) -> list[dm.Descriptor]:

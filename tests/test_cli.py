@@ -256,6 +256,33 @@ def test_compile_non_utf8_exits_2_with_line(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("fmt", ["hex", "bin", "apb"])
+def test_compile_oversized_program_exits_2_in_every_format(tmp_path, capsys, fmt):
+    src = tmp_path / "big.tig"
+    src.write_text("read 0x10\n" * 129, encoding="utf-8")
+    out_path = tmp_path / "out"
+    code, out, err = run_cli(capsys, "compile", str(src), "--format", fmt,
+                             "-o", str(out_path))
+    assert code == 2
+    assert err == f"tigsim: {src}: 129 descriptors need 258 words; buffer holds 256\n"
+    assert out == "" and not out_path.exists()
+
+
+@pytest.mark.parametrize("fmt", ["hex", "bin", "apb"])
+def test_compile_full_buffer_program(tmp_path, capsys, fmt):
+    src = tmp_path / "full.tig"
+    src.write_text("read 0x10\n" * 128, encoding="utf-8")
+    out_path = tmp_path / "out"
+    code, _, err = run_cli(capsys, "compile", str(src), "--format", fmt,
+                           "-o", str(out_path))
+    assert code == 0 and "compiled 128 descriptors" in err
+    descs = pat.compile_file(src)
+    expected = {"hex": pat.render_hex(descs).encode(),
+                "bin": pat.render_image(descs),
+                "apb": pat.render_apb_csv(pat.emit_apb_sequence(descs)).encode()}
+    assert out_path.read_bytes() == expected[fmt]
+
+
 
 _VICTIM = {"period": 4, "count": 2, "kind": "read", "address": 0}
 _INJECTOR = {"descriptors": [{"kind": "write", "address": 0}]}

@@ -1,5 +1,7 @@
 """Injector register file and fetch/decode/execute engine timing."""
 
+import random
+
 import pytest
 
 from tigsim import descriptors as dm
@@ -9,6 +11,7 @@ from tigsim.injector import (
     BUFFER_WORDS,
     CAP_OFFSET,
     CTRL_EN,
+    CTRL_IRQ_EN,
     CTRL_LOOP,
     CTRL_OFFSET,
     CTRL_PIPE_EN,
@@ -21,7 +24,8 @@ from tigsim.injector import (
     Injector,
     OffsetOutOfRange,
 )
-from tigsim.interconnect import AhbBus, TargetModel
+from tigsim.interconnect import AhbBus, AxiBus, TargetModel
+from tigsim.trace import TraceRecorder
 
 
 def make_rig(descriptors, flags=("pipe",), latency=1, policy="fixed_priority"):
@@ -395,3 +399,175 @@ def test_axi_legacy_bubble_between_descriptors():
     grants = [t.grant_cycle for t in run_on_axi(descs, ())]
     # completion at grant+2, then fetch/decode: 4-cycle descriptor period
     assert [b - a for a, b in zip(grants, grants[1:])] == [4] * 9
+
+
+# ---------------------------------------------------------------------------
+# STATUS per cycle, the buffer end, and event skipping
+# ---------------------------------------------------------------------------
+
+FETCH, DECODE, EXEC, DONE = 1, 2, 3, 4
+
+
+def status_per_cycle(flags, cycles):
+    """(BUSY, state code) read after each cycle of a 2-descriptor program."""
+    inj, bus = make_rig(writes(2), flags=flags)
+    seen = []
+    for now in range(cycles):
+        bus.begin_cycle(now)
+        inj.step(now)
+        bus.arbitrate(now)
+        status = inj.apb_read(STATUS_OFFSET)
+        seen.append((bool(status & STATUS_BUSY), (status >> 4) & 0xF))
+    return seen
+
+
+def test_status_per_cycle_pipelined():
+    """Occupancy 2: descriptor 1 is fetched when 0 starts (c2), decoded
+    at c3, and starts as 0 retires (c4); state reports the most advanced
+    occupied stage."""
+    assert status_per_cycle(("pipe",), 9) == [
+        (True, FETCH), (True, DECODE), (True, EXEC), (True, EXEC),
+        (True, EXEC), (True, EXEC), (False, DONE), (False, DONE), (False, DONE)]
+
+
+def test_status_per_cycle_legacy():
+    """Descriptor 1 is fetched only when 0 retires (c4)."""
+    assert status_per_cycle((), 10) == [
+        (True, FETCH), (True, DECODE), (True, EXEC), (True, EXEC),
+        (True, FETCH), (True, DECODE), (True, EXEC), (True, EXEC),
+        (False, DONE), (False, DONE)]
+
+
+def test_running_off_the_buffer_end_errs_and_drains_the_bus():
+    trace = TraceRecorder()
+    bus = AxiBus("axi", TargetModel(6), outstanding=2)
+    inj = Injector("inj", port=bus.port(bus.add_master("inj")), trace=trace)
+    for i in range(BUFFER_WORDS // 2):   # 128 descriptors, none marked last
+        w = dm.encode(dm.Descriptor(dm.Kind.WRITE, address=0x100 * i))
+        inj.apb_write(BUFFER_BASE + 8 * i, w.word0)
+        inj.apb_write(BUFFER_BASE + 8 * i + 4, w.word1)
+    inj.apb_write(CTRL_OFFSET, CTRL_EN | CTRL_PIPE_EN)
+    err_at = None
+    for now in range(2000):
+        bus.begin_cycle(now)
+        inj.step(now)
+        bus.arbitrate(now)
+        if err_at is None and inj.errored:
+            err_at, in_flight = now, 128 - len(bus.completed)
+        if err_at is not None and bus.idle():
+            break
+    status = inj.apb_read(STATUS_OFFSET)
+    assert status & STATUS_ERR and not status & STATUS_BUSY
+    assert inj.apb_read(ERRINFO_OFFSET) == 256
+    rows = trace.injector_csv().splitlines()
+    assert f"{err_at},inj,CTRL,err idx=128 off buffer end" in rows
+    assert in_flight >= 1
+    assert len(bus.completed) == 128       # the issued request still completed
+    assert bus.completed[-1].address == 0x100 * 127
+    assert bus.completed[-1].complete_cycle > err_at
+
+
+def run_with_ctrl_write(descs, flags, at, value, cycles=80):
+    """Occupancy 4 (L=3): descriptor 0 executes from c2 to c6, and in
+    pipelined mode descriptor 1 is decoded at c3, before the write at c4."""
+    inj, bus = make_rig(descs, latency=3, flags=flags)
+    for now in range(cycles):
+        if now == at:
+            inj.apb_write(CTRL_OFFSET, value)
+        bus.begin_cycle(now)
+        inj.step(now)
+        bus.arbitrate(now)
+    txns = bus.completed
+    return inj, txns, [b.grant_cycle - a.complete_cycle for a, b in zip(txns, txns[1:])]
+
+
+def test_pipe_en_cleared_mid_descriptor_runs_each_descriptor_once():
+    """The prefetched descriptor starts without a bubble; later ones pay
+    the legacy bubble."""
+    inj, txns, gaps = run_with_ctrl_write(writes(4), ("pipe",), 4, CTRL_EN)
+    assert inj.done
+    assert [t.address for t in txns] == [0x40000000 + 0x100 * i for i in range(4)]
+    assert gaps == [0, 2, 2]
+
+
+def test_pipe_en_set_mid_descriptor_fetches_at_retirement():
+    """Nothing was prefetched, so retirement fetches; later descriptors
+    are prefetched and chain without a bubble."""
+    inj, txns, gaps = run_with_ctrl_write(writes(4), (), 4, CTRL_EN | CTRL_PIPE_EN)
+    assert inj.done and len(txns) == 4
+    assert gaps == [2, 0, 0]
+
+
+def test_loop_set_on_the_last_descriptor_wraps():
+    inj, txns, gaps = run_with_ctrl_write(
+        writes(1), ("pipe",), 4, CTRL_EN | CTRL_PIPE_EN | CTRL_LOOP)
+    assert not inj.done and inj.busy and len(txns) > 10
+    assert gaps[:3] == [2, 0, 0]
+
+
+def _raw_rig(seed, trace_recorder):
+    """An injector with random raw buffer words on a random bus, and the
+    cycles at which CTRL is written."""
+    rng = random.Random(seed)
+    bus_type = AhbBus if rng.random() < 0.5 else AxiBus
+    bus = bus_type("b", TargetModel(rng.randint(1, 4)), policy="round_robin")
+    inj = Injector("inj", port=bus.port(bus.add_master("inj")), trace=trace_recorder)
+    n = rng.choice([2, 6, 128])
+    ends = rng.random() < 0.4           # else no descriptor is marked last
+    garbage = rng.randrange(n) if rng.random() < 0.3 else None
+    short = n == 128                    # so that a run can reach the buffer end
+    for i in range(n):
+        if i == garbage:
+            words = (rng.getrandbits(32), rng.getrandbits(32))
+        else:
+            kind = rng.choice(list(dm.Kind))
+            last = ends and i == n - 1
+            reps = 1 if short else rng.randint(1, 3)
+            if kind is dm.Kind.DELAY:
+                desc = dm.Descriptor.delay(rng.randint(1, 2 if short else 9), reps, last)
+            else:
+                size = 4 if short else rng.choice([4, 16, 64])
+                desc = dm.Descriptor(kind, 0x100 * i, size, reps, last, rng.random() < 0.3)
+            w = dm.encode(desc)
+            words = (w.word0, w.word1)
+        inj.apb_write(BUFFER_BASE + 8 * i, words[0])
+        inj.apb_write(BUFFER_BASE + 8 * i + 4, words[1])
+    flags = rng.choice([0, CTRL_PIPE_EN]) | rng.choice([0, CTRL_LOOP])
+    writes_at = {0: CTRL_EN | flags}
+    for _ in range(rng.randint(0, 3)):
+        writes_at[rng.randrange(1, 300)] = rng.choice(
+            [CTRL_RST, flags, CTRL_EN | flags, CTRL_EN | CTRL_IRQ_EN | flags,
+             CTRL_EN | (flags ^ CTRL_PIPE_EN), CTRL_EN | (flags ^ CTRL_LOOP)])
+    return inj, bus, writes_at
+
+
+def _run_raw(seed, skip, horizon=1200):
+    trace = TraceRecorder()
+    inj, bus, writes_at = _raw_rig(seed, trace)
+    now = 0
+    while now < horizon:
+        if now in writes_at:
+            inj.apb_write(CTRL_OFFSET, writes_at[now])
+        bus.begin_cycle(now)
+        inj.step(now)
+        bus.arbitrate(now)
+        if not skip:
+            now += 1
+            continue
+        due = [c for c in (inj.next_event(now), bus.next_event(now),
+                           min((c for c in writes_at if c > now), default=None))
+               if c is not None]
+        assert all(c > now for c in due)
+        now = min(due, default=horizon)
+    txns = [(t.txn_id, t.kind, t.address, t.beats, t.request_cycle,
+             t.grant_cycle, t.complete_cycle) for t in bus.completed]
+    return (trace.injector_csv(), txns,
+            inj.apb_read(STATUS_OFFSET), inj.apb_read(ERRINFO_OFFSET))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_event_skipping_equals_per_cycle_on_raw_programs(seed):
+    """Decode errors, runs off the buffer end and CTRL writes mid-run
+    (restarts, resets, PIPE_EN and LOOP changes): stepping only at
+    next_event gives the same bytes as every cycle."""
+    assert _run_raw(seed, skip=True) == _run_raw(seed, skip=False)

@@ -1,5 +1,7 @@
 """Pattern DSL parsing, lowering, and programming-sequence emission."""
 
+import dataclasses
+import random
 from pathlib import Path
 
 import pytest
@@ -23,17 +25,15 @@ BASIC_TIG_IMAGE = bytes.fromhex(
 
 
 def test_parse_single_read_defaults():
-    prog = pat.parse("read 0x80000000 size=4")
-    assert prog.statements == (
-        pat.Access(dm.Kind.READ, 0x80000000, 4, 1, line=1),)
+    assert pat.parse("read 0x80000000 size=4") == [
+        dm.Descriptor(dm.Kind.READ, 0x80000000, 4, 1)]
 
 
 def test_parse_two_statements_in_order():
-    prog = pat.parse("write 0x40000000 size=64 reps=4\ndelay 100")
-    assert prog.statements == (
-        pat.Access(dm.Kind.WRITE, 0x40000000, 64, 4, line=1),
-        pat.Delay(100, line=2),
-    )
+    assert pat.parse("write 0x40000000 size=64 reps=4\ndelay 100") == [
+        dm.Descriptor(dm.Kind.WRITE, 0x40000000, 64, 4),
+        dm.Descriptor.delay(100),
+    ]
 
 
 def test_parse_missing_address():
@@ -43,8 +43,7 @@ def test_parse_missing_address():
 
 
 def test_parse_comments_and_blanks_ignored():
-    prog = pat.parse("# header\n\nread 0x10  # trailing\n\n")
-    assert len(prog.statements) == 1
+    assert len(pat.parse("# header\n\nread 0x10  # trailing\n\n")) == 1
 
 
 def test_parse_line_numbers_reported():
@@ -81,17 +80,21 @@ def test_parse_rejects_empty_program():
                max_size=120))
 def test_parse_total_every_rejection_carries_a_line(text):
     try:
-        prog = pat.parse(text)
+        statements = pat.parse(text)
     except pat.PatternError as exc:
         assert exc.line >= 1
         assert str(exc).startswith("line ")
     else:
-        assert prog.statements
+        assert statements
 
 
 def test_lower_single_statement_last():
     descs = pat.lower(pat.parse("read 0x10"))
     assert len(descs) == 1 and descs[0].last
+
+
+def test_lower_empty_program_is_empty():
+    assert pat.lower([]) == []
 
 
 def test_lower_last_on_final_only():
@@ -100,29 +103,27 @@ def test_lower_last_on_final_only():
 
 
 def test_lower_preserves_count_order_and_single_last():
-    import random
     rng = random.Random(11)
     kinds = ["read", "write", "read_fix", "write_fix"]
     for _ in range(20):
         n = rng.randint(1, 30)
-        lines = []
+        lines, expected = [], []
         for _ in range(n):
             if rng.random() < 0.3:
-                lines.append(f"delay {rng.randint(1, 10**6)}")
+                cycles = rng.randint(1, 10**6)
+                lines.append(f"delay {cycles}")
+                expected.append(dm.Descriptor.delay(cycles))
             else:
-                lines.append(f"{rng.choice(kinds)} {rng.randint(0, 2**32 - 1)}"
-                             f" size={rng.randint(1, 8192)}"
-                             f" reps={rng.randint(1, 64)}")
-        prog = pat.parse("\n".join(lines))
-        descs = pat.lower(prog)
-        assert len(descs) == n == len(prog.statements)
+                kind, addr = rng.choice(kinds), rng.randint(0, 2**32 - 1)
+                size, reps = rng.randint(1, 8192), rng.randint(1, 64)
+                lines.append(f"{kind} {addr} size={size} reps={reps}")
+                expected.append(dm.Descriptor(pat.KINDS[kind], addr, size, reps))
+        statements = pat.parse("\n".join(lines))
+        assert statements == expected
+        descs = pat.lower(statements)
+        assert len(descs) == n
         assert sum(d.last for d in descs) == 1 and descs[-1].last
-        for stmt, desc in zip(prog.statements, descs):
-            if isinstance(stmt, pat.Access):
-                assert desc.kind == stmt.kind and desc.address == stmt.address
-            else:
-                assert desc.kind == dm.Kind.DELAY
-                assert desc.delay_cycles == stmt.cycles
+        assert [dataclasses.replace(d, last=False) for d in descs] == expected
 
 
 def test_lower_basic_tig_matches_golden_image():
