@@ -14,12 +14,16 @@ write travels over the shared data bus as an ordinary write transaction
 before injection starts.
 
 ``step_cycle`` advances one cycle in three phases (bus retire, master
-step, bus arbitrate) and steps every master.  ``run`` visits only the
-cycles at which something is due and steps only the masters due then,
-those whose own ``next_event`` falls there or whose bus transaction
-retires, in registration order: both give identical traces.  Everything
-is deterministic: identical topology in, identical metrics and trace
-bytes out.
+step, bus arbitrate) and steps every master on every bus.  ``run``
+treats each bus and its masters as a partition sharing no state with
+the others and visits only that partition's events: cycles at which one
+of its masters is due (its ``next_event``, or its bus transaction
+retires) or its bus may grant.  Each partition runs until its
+non-looping masters finish; the run ends at the latest of those cycles,
+E, and every partition is advanced through its events up to E (up to
+the cycle limit if one never finishes).  Both paths give identical
+traces and metrics.  Everything is deterministic: identical topology
+in, identical metrics and trace bytes out.
 
 Topology files are YAML; the schema is documented in config-schema.md.
 """
@@ -447,6 +451,19 @@ class InjectorHost:
 # Simulation
 # ---------------------------------------------------------------------------
 
+class _Partition:
+    """One bus and its masters (indexed by master id), with the calendar
+    (cycle -> ids due then), the heap of calendar cycles, the masters that
+    may still block termination, the next cycle to visit and the last
+    cycle visited.  No state is shared with another partition."""
+
+    __slots__ = ("bus", "masters", "calendar", "wakeups", "live", "now", "last")
+
+    def __init__(self, bus):
+        self.bus = bus
+        self.masters = []
+
+
 class Simulation:
     """One built topology, ready to run exactly once."""
 
@@ -467,11 +484,10 @@ class Simulation:
                              trace=self.trace)
             self.buses[spec.name] = bus
         self._bus_list = list(self.buses.values())
-        self._owners = {name: [] for name in self.buses}  # master_id -> index
+        self._parts = {name: _Partition(bus) for name, bus in self.buses.items()}
         self.victims: list[Victim] = []
         self.hosts: list[InjectorHost] = []
         self._masters = []
-        self._wakeups: list[int] = []   # heap of the cycles on the calendar
 
     def injector(self, name: str) -> Injector:
         for host in self.hosts:
@@ -491,42 +507,59 @@ class Simulation:
             bus.arbitrate(self.now)
         self.now += 1
 
-    def _next_event(self, now: int) -> int | None:
-        """The earliest master wakeup on the calendar or bus event."""
-        nxt = self._wakeups[0] if self._wakeups else None
-        for bus in self._bus_list:
-            c = bus.next_event(now)
-            if c is not None and (nxt is None or c < nxt):
-                nxt = c
+    def _next_event(self, part: _Partition, now: int) -> int | None:
+        """A partition's earliest master wakeup on its calendar or bus event."""
+        nxt = part.wakeups[0] if part.wakeups else None
+        c = part.bus.next_event(now)
+        if c is not None and (nxt is None or c < nxt):
+            nxt = c
         return nxt
 
     def run(self, max_cycles: int | None = None) -> MetricsRecord:
-        """Run to completion or the cycle cap; returns per-master metrics."""
+        """Run to completion or the cycle cap; returns per-master metrics.
+
+        Each partition runs until its live set empties, at cycle e_p; then
+        every partition runs through its events up to E = max e_p (below
+        the cap if some partition never finished)."""
         limit = max_cycles if max_cycles is not None else self.topology.max_cycles
-        now = self.now
-        last = now - 1
-        masters = self._masters
-        buses = [(bus, self._owners[name]) for name, bus in self.buses.items()]
-        live = set(range(len(masters)))    # masters that may block termination
-        # cycle -> indices of the masters due then; a heap of registered cycles.
-        calendar = {now: set(live)}
-        wakeups = self._wakeups = [now]
-        while now < limit:
+        parts = list(self._parts.values())
+        for part in parts:
+            part.live = set(range(len(part.masters)))
+            part.calendar = {self.now: set(part.live)}
+            part.wakeups = [self.now]
+            part.now, part.last = self.now, self.now - 1
+        ends = [self._advance(part, limit, settle=True) for part in parts]
+        self.finished = None not in ends
+        stop = max(ends) + 1 if self.finished else limit
+        for part in parts:
+            self._advance(part, stop)
+        last = max(part.last for part in parts)
+        self.now = last + 1
+        record = self._collect(cycles=last + 1, partial=not self.finished)
+        if not self.finished:
+            raise CycleLimitExceeded([record])
+        return record
+
+    def _advance(self, part: _Partition, stop: int, settle: bool = False) -> int | None:
+        """Visit part's events below stop.  With settle, return as soon as
+        its live set is empty, with the cycle it emptied at; else None."""
+        bus, masters, live = part.bus, part.masters, part.live
+        calendar, wakeups, completed = part.calendar, part.wakeups, bus.completed
+        begin_cycle, arbitrate = bus.begin_cycle, bus.arbitrate
+        now = part.now
+        while now is not None and now < stop:
             due = calendar.pop(now, set())
             while wakeups and wakeups[0] == now:
                 heapq.heappop(wakeups)
-            for bus, owners in buses:
-                completed = bus.completed
-                retired = len(completed)
-                bus.begin_cycle(now)
-                while retired < len(completed):     # wake the retirements' owners
-                    due.add(owners[completed[retired].master_id])
-                    retired += 1
+            retired = len(completed)
+            begin_cycle(now)
+            while retired < len(completed):     # wake the retirements' owners
+                due.add(completed[retired].master_id)
+                retired += 1
             for i in sorted(due):
                 masters[i].step(now)
-            for bus, _ in buses:
-                bus.arbitrate(now)
-            last = now
+            arbitrate(now)
+            part.last = now
             for i in due:
                 if i in live and masters[i].terminal:
                     live.discard(i)
@@ -534,18 +567,13 @@ class Simulation:
                 if wake is not None:
                     calendar.setdefault(wake, set()).add(i)
                     heapq.heappush(wakeups, wake)
-            if not live:
-                self.finished = True
-                break
-            nxt = self._next_event(now)
+            nxt = self._next_event(part, now)
             if nxt is not None and nxt <= now:
                 raise AssertionError(f"event scheduler stuck at cycle {now}")
-            now = limit if nxt is None else nxt
-        self.now = last + 1
-        record = self._collect(cycles=last + 1, partial=not self.finished)
-        if not self.finished:
-            raise CycleLimitExceeded([record])
-        return record
+            part.now = now = nxt
+            if settle and not live:
+                return part.last
+        return None
 
     # -- metrics ------------------------------------------------------------
 
@@ -575,9 +603,7 @@ def build(topology: Topology, trace_enabled: bool = False,
     sim = Simulation(topology, trace_enabled=trace_enabled)
     for spec in topology.masters:
         bus = sim.buses[spec.bus]
-        master_id = bus.add_master(spec.name)
-        sim._owners[spec.bus].append(len(sim._masters))
-        port = bus.port(master_id)
+        port = bus.port(bus.add_master(spec.name))
         if spec.role == "victim":
             master = Victim(spec.name, spec.victim, port)
             sim.victims.append(master)
@@ -586,6 +612,7 @@ def build(topology: Topology, trace_enabled: bool = False,
                                   enabled=not disable_injectors)
             sim.hosts.append(master)
         sim._masters.append(master)
+        sim._parts[spec.bus].masters.append(master)
     return sim
 
 

@@ -87,6 +87,16 @@ class CapacityExceeded(ValueError):
     """A descriptor program does not fit the 256-word buffer."""
 
 
+def _decode_words(words: tuple[int, int]) -> dm.Descriptor | str:
+    """The valid descriptor a word pair encodes, or why it encodes none."""
+    try:
+        desc = dm.decode(dm.DescriptorWords(*words))
+    except dm.DescriptorError as exc:
+        return str(exc)
+    problems = dm.validate(desc)
+    return "; ".join(problems) if problems else desc
+
+
 class _Slot:
     """The prefetched descriptor: its buffer words (None past the buffer
     end), its decoded form (None until decoded), and the cycle at which
@@ -123,6 +133,7 @@ class Injector:
         self.trace = trace
         self.buffer = [0] * BUFFER_WORDS
         self._ctrl = CTRL_RESET_VALUE
+        self._decoded: dict[tuple[int, int], dm.Descriptor | str] = {}
         self._clear_run_state()
 
     # -- configuration port -------------------------------------------------
@@ -348,14 +359,11 @@ class Injector:
         if slot.words is None:
             self._fail(slot.index, now, "off buffer end")
             return
-        try:
-            desc = dm.decode(dm.DescriptorWords(*slot.words))
-        except dm.DescriptorError as exc:
-            self._fail(slot.index, now, str(exc))
-            return
-        problems = dm.validate(desc)
-        if problems:
-            self._fail(slot.index, now, "; ".join(problems))
+        desc = self._decoded.get(slot.words)
+        if desc is None:
+            desc = self._decoded[slot.words] = _decode_words(slot.words)
+        if isinstance(desc, str):
+            self._fail(slot.index, now, desc)
             return
         slot.desc = desc
         slot.ready_at = now + 1

@@ -94,13 +94,15 @@ class MasterPort:
 
 
 class _Channel:
-    """Per-master queues and in-flight counts, and the granted
-    transactions in grant order, which is also completion order."""
+    """Per-master queues and in-flight counts, the count of queued requests,
+    and the granted transactions in grant order (also completion order)."""
 
-    __slots__ = ("queues", "in_flight", "granted", "next_beat_free", "rr_next")
+    __slots__ = ("queues", "in_flight", "waiting", "granted", "next_beat_free",
+                 "rr_next")
 
     def __init__(self):
         self.queues: list[deque[Transaction]] = []
+        self.waiting = 0
         self.in_flight: list[int] = []
         self.granted: deque[Transaction] = deque()
         self.next_beat_free = 0
@@ -157,6 +159,7 @@ class _Bus:
                           beats_for(size_bytes), now)
         self._next_id += 1
         ch.queues[master_id].append(txn)
+        ch.waiting += 1
         if self.trace:
             self.trace.bus(now, self.name, "REQ", master_id, txn.txn_id)
         return txn
@@ -177,6 +180,8 @@ class _Bus:
     def _pick(self, ch: _Channel) -> int | None:
         """The first master with a request and room under the cap, scanning
         from master 0 (fixed priority) or the round-robin pointer."""
+        if not ch.waiting:
+            return None
         queues, in_flight, cap = ch.queues, ch.in_flight, self.outstanding
         start = ch.rr_next if self.policy == ROUND_ROBIN else 0
         for m in self._ids_twice[start:start + len(queues)]:
@@ -193,6 +198,7 @@ class _Bus:
             if m is None:
                 continue
             txn = ch.queues[m].popleft()
+            ch.waiting -= 1
             txn.grant_cycle = now
             first_beat = max(now + self.target.first_latency, ch.next_beat_free)
             last_beat = first_beat + txn.beats - 1
@@ -209,7 +215,8 @@ class _Bus:
 
     def next_event(self, now: int) -> int | None:
         """The earliest retirement, or ``now + 1`` while a channel that may
-        grant has waiting requests; None when nothing is pending."""
+        grant has a waiting request under the cap; None when nothing is
+        pending.  A request waiting at its cap waits for a retirement."""
         nxt = None
         for ch in self._channels:
             if ch.granted:
@@ -218,12 +225,12 @@ class _Bus:
                     nxt = head
                 if self._serial:
                     continue
-            if any(ch.queues) and (nxt is None or now + 1 < nxt):
+            if (nxt is None or now + 1 < nxt) and self._pick(ch) is not None:
                 nxt = now + 1
         return nxt
 
     def idle(self) -> bool:
-        return not any(ch.granted or any(ch.queues) for ch in self._channels)
+        return not any(ch.granted or ch.waiting for ch in self._channels)
 
 
 class AhbBus(_Bus):

@@ -42,7 +42,6 @@ class TraceRecorder:
         return "\n".join(lines) + "\n"
 
     def injector_csv(self) -> str:
-        rows = sorted(self.injector_rows, key=lambda r: (r[0], r[1], r[2], r[3]))
         lines = [INJECTOR_TRACE_HEADER]
-        lines.extend(f"{c},{i},{s},{e}" for c, i, s, e in rows)
+        lines.extend(f"{c},{i},{s},{e}" for c, i, s, e in sorted(self.injector_rows))
         return "\n".join(lines) + "\n"

@@ -359,10 +359,10 @@ def run_record(sim):
         return exc.records[0]
 
 
-@pytest.mark.parametrize("seed", range(60))
-def test_run_equals_step_cycle_on_random_topology(seed, tmp_path):
-    topo = load_topology(random_topology(random.Random(seed), tmp_path),
-                         base_dir=tmp_path)
+def run_equals_step_cycle(topo):
+    """Run topo, then step a second build every cycle up to where the run
+    ended; both traces and the metrics CSV must match.  Returns the run's
+    simulation and record."""
     run_sim = build(topo, trace_enabled=True)
     record = run_record(run_sim)
     step_sim = build(topo, trace_enabled=True)
@@ -372,6 +372,14 @@ def test_run_equals_step_cycle_on_random_topology(seed, tmp_path):
     assert step_sim.trace.injector_csv() == run_sim.trace.injector_csv()
     stepped = step_sim._collect(cycles=step_sim.now, partial=record.partial)
     assert emit_csv([stepped]) == emit_csv([record])
+    return run_sim, record
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_run_equals_step_cycle_on_random_topology(seed, tmp_path):
+    topo = load_topology(random_topology(random.Random(seed), tmp_path),
+                         base_dir=tmp_path)
+    run_equals_step_cycle(topo)
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -397,6 +405,7 @@ def test_conservation_on_random_topology(seed, tmp_path):
         assert mm.total_bytes == 4 * beats[name], name
 
     for bus in sim.buses.values():
+        assert all(ch.waiting == sum(map(len, ch.queues)) for ch in bus._channels)
         log = submitted[bus.name]
         assert all(txn.beats == -(-size // 4) for txn, size in log)
         for master_id, name in enumerate(bus.masters):
@@ -434,6 +443,101 @@ def test_run_steps_a_waiting_victim_only_when_due():
     assert record.masters["core0"].txn_count == count
     assert record.masters["inj0"].txn_count > 1000
     assert len(steps) <= 2 * count + 1
+
+
+def two_bus_topology(b_first: bool, victim=None, max_cycles=100000):
+    """Bus a carries a victim; bus b (AXI) only an injector looping one
+    request per cycle.  b_first registers bus b and its master first."""
+    busy = InjectorSpec(descriptors=(dm.Descriptor(
+        dm.Kind.WRITE_FIX, address=0x4000_0000, size_bytes=4, reps=4, last=True),),
+        ctrl=("loop", "pipe"))
+    buses = [BusSpec("a", "ahb", 2, "fixed_priority"),
+             BusSpec("b", "axi", 1, "round_robin", outstanding=2)]
+    a = [MasterSpec("core0", "a", "victim",
+                    victim=victim or victim_spec(period=7, count=9))]
+    b = [MasterSpec("inj0", "b", "injector", injector=busy)]
+    if b_first:
+        buses.reverse()
+        a, b = b, a
+    return Topology(buses=tuple(buses), masters=tuple(a + b), max_cycles=max_cycles)
+
+
+@pytest.mark.parametrize("b_first", [False, True])
+def test_partition_with_only_a_looping_injector_ends_with_the_run(b_first):
+    """A bus whose masters never block termination still runs up to the
+    cycle E at which another bus's last victim finishes, and no further."""
+    sim, record = run_equals_step_cycle(two_bus_topology(b_first))
+    end = record.cycles - 1
+    assert not record.partial
+    assert record.masters["core0"].completion_cycle == end
+    b_rows = [r[0] for r in sim.trace.bus_rows if r[1] == "b" and r[2] != "BEAT"]
+    assert max(b_rows) == end
+    assert max(r[0] for r in sim.trace.injector_rows) == end
+
+
+def test_cycle_limit_with_the_live_partition_registered_last():
+    """Bus b has nothing live from cycle 0 on, and bus a's victim outlasts
+    the cycle limit: both buses run through their events below it."""
+    slow = victim_spec(period=50, count=100)
+    sim, record = run_equals_step_cycle(
+        two_bus_topology(True, victim=slow, max_cycles=300))
+    assert record.partial and record.cycles == 300
+    assert record.masters["core0"].txn_count == 6
+    b_rows = [r[0] for r in sim.trace.bus_rows if r[1] == "b" and r[2] != "BEAT"]
+    assert max(b_rows) == 299
+    assert max(r[0] for r in sim.trace.injector_rows) == 299
+
+
+def test_a_bus_without_traffic_is_not_stepped_at_other_buses_events():
+    topo = Topology(
+        buses=(BusSpec("quiet", "axi", 1), BusSpec("empty", "ahb", 1),
+               BusSpec("ahb0", "ahb", 2, "round_robin")),
+        masters=(MasterSpec("off", "quiet", "injector",
+                            injector=loop_injector(enabled=False)),
+                 MasterSpec("core0", "ahb0", "victim", victim=victim_spec()),
+                 MasterSpec("inj0", "ahb0", "injector", injector=loop_injector())),
+    )
+    sim = build(topo)
+    visits = dict.fromkeys(sim.buses, 0)
+    for name, bus in sim.buses.items():
+        def begin_cycle(now, _begin=bus.begin_cycle, _name=name):
+            visits[_name] += 1
+            _begin(now)
+        bus.begin_cycle = begin_cycle
+    record = sim.run()
+    assert record.masters["inj0"].txn_count > 5
+    assert visits == {"quiet": 1, "empty": 1, "ahb0": visits["ahb0"]}
+    assert visits["ahb0"] > 20
+
+
+def test_axi_bus_is_not_visited_while_every_waiting_master_is_capped():
+    """Every cycle the scheduler visits on a saturated O=1 AXI bus retires,
+    grants or steps a master."""
+    def saturating(address):
+        return InjectorSpec(descriptors=(dm.Descriptor(
+            dm.Kind.WRITE_FIX, address=address, size_bytes=16, reps=4, last=True),),
+            ctrl=("loop", "pipe"))
+    topo = Topology(
+        buses=(BusSpec("x", "axi", 3, "round_robin", outstanding=1),),
+        masters=(MasterSpec("core0", "x", "victim", victim=victim_spec(period=5, count=40)),
+                 MasterSpec("inj0", "x", "injector", injector=saturating(0x1000)),
+                 MasterSpec("inj1", "x", "injector", injector=saturating(0x2000))),
+    )
+    run_equals_step_cycle(topo)
+    sim = build(topo, trace_enabled=True)
+    bus = sim.buses["x"]
+    visits, steps = [], set()
+    begin_cycle = bus.begin_cycle
+    bus.begin_cycle = lambda now: (visits.append(now), begin_cycle(now))[1]
+    for master in sim._masters:
+        def step(now, _step=master.step):
+            steps.add(now)
+            _step(now)
+        master.step = step
+    record = sim.run()
+    assert min(record.masters[name].txn_count for name in ("inj0", "inj1")) > 10
+    active = steps | {r[0] for r in sim.trace.bus_rows if r[2] in ("GRANT", "COMPLETE")}
+    assert set(visits) <= active
 
 
 def test_injector_finishes_nonloop_program():

@@ -355,6 +355,55 @@ def test_loop_refetches_buffer_each_wrap():
     assert all(a == 0x2000 for a in addresses[switch:])
 
 
+def count_decodes(monkeypatch) -> list:
+    calls = []
+    decode = dm.decode
+    monkeypatch.setattr(dm, "decode", lambda w: (calls.append(w), decode(w))[1])
+    return calls
+
+
+def test_looping_program_decodes_each_word_pair_once(monkeypatch):
+    """Decode is a function of the two buffer words, so a looping program
+    decodes each distinct pair once however many passes it makes."""
+    calls = count_decodes(monkeypatch)
+    same = dm.Descriptor(dm.Kind.WRITE_FIX, address=0x1000, size_bytes=4)
+    descs = [same, same, dm.Descriptor.delay(3),
+             dm.Descriptor(dm.Kind.READ, address=0x2000, size_bytes=8, last=True)]
+    inj, bus = make_rig(descs, flags=("pipe", "loop"))
+    run_cycles(inj, bus, 400)
+    assert len(bus.completed) > 40 and not inj.errored
+    assert len(calls) == 3
+
+
+def test_rewritten_buffer_word_is_decoded_fresh(monkeypatch):
+    """A buffer write mid-run takes effect at the next fetch of that
+    descriptor, also when the new pair is malformed."""
+    calls = count_decodes(monkeypatch)
+    descs = [dm.Descriptor(dm.Kind.WRITE_FIX, address=0x1000, size_bytes=4),
+             dm.Descriptor(dm.Kind.WRITE_FIX, address=0x3000, size_bytes=4, last=True)]
+    inj, bus = make_rig(descs, flags=("pipe", "loop"))
+    inj.trace = TraceRecorder()
+    run_cycles(inj, bus, 20)
+    inj.apb_write(BUFFER_BASE + 4, 0x2000)      # descriptor 0's address word
+    for now in range(20, 40):
+        bus.begin_cycle(now)
+        inj.step(now)
+        bus.arbitrate(now)
+    addresses = [t.address for t in bus.completed]
+    switch = addresses.index(0x2000)
+    assert 0x1000 in addresses[:switch] and 0x1000 not in addresses[switch:]
+    assert len(calls) == 3
+    inj.apb_write(BUFFER_BASE + 8, 0xFFFF_FFFF)  # descriptor 1: reserved bits set
+    for now in range(40, 60):
+        bus.begin_cycle(now)
+        inj.step(now)
+        bus.arbitrate(now)
+    assert inj.errored and inj.apb_read(ERRINFO_OFFSET) == 2
+    errors = [row for row in inj.trace.injector_rows if row[3].startswith("err")]
+    assert [row[3] for row in errors] == [
+        "err idx=1 reserved bits set in word0: 0xffffffff"]
+
+
 def run_on_axi(descs, flags, latency=1):
     from tigsim.interconnect import AxiBus
     bus = AxiBus("axi", TargetModel(latency), outstanding=2)

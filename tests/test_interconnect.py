@@ -185,3 +185,31 @@ def test_trace_grant_rows():
     drive(bus, {0: [(0, "read", 4), (1, "read", 4)]})
     grants = [(c, m) for c, b, e, m, t in trace.bus_rows if e == "GRANT"]
     assert grants == [(0, 0), (3, 1)]
+
+
+def test_axi_next_event_waits_for_a_retirement_when_every_waiter_is_capped():
+    """With O=1 and each master's later requests queued behind its first,
+    nothing can be granted before a retirement, so the bus asks for no
+    wakeup before one.  Visiting only its next events grants exactly as
+    visiting every cycle does."""
+    def saturate(skip):
+        bus = AxiBus("x", TargetModel(2), outstanding=1)
+        bus.add_master("m0")
+        bus.add_master("m1")
+        txns = [bus.submit(m, "write", 0, 16, 0) for m in (0, 1) for _ in range(3)]
+        visits = []
+        now = 0
+        while now is not None:
+            visits.append(now)
+            bus.begin_cycle(now)
+            bus.arbitrate(now)
+            if skip:
+                now = bus.next_event(now)
+            else:
+                now = None if bus.idle() else now + 1
+        return [(t.grant_cycle, t.complete_cycle) for t in txns], visits
+
+    skipped, visits = saturate(skip=True)
+    stepped, _ = saturate(skip=False)
+    assert skipped == stepped
+    assert set(visits) <= {c for pair in skipped for c in pair}
