@@ -21,9 +21,11 @@ of its masters is due (its ``next_event``, or its bus transaction
 retires) or its bus may grant.  Each partition runs until its
 non-looping masters finish; the run ends at the latest of those cycles,
 E, and every partition is advanced through its events up to E (up to
-the cycle limit if one never finishes).  Both paths give identical
-traces and metrics.  Everything is deterministic: identical topology
-in, identical metrics and trace bytes out.
+the cycle limit if one never finishes).  Traced, it visits every event
+and gives the traces of ``step_cycle``; untraced, it also skips whole
+periods once a partition's state, relative to a visit at which its bus
+took a request, repeats.  All paths give identical metrics: identical
+topology in, identical metrics and trace bytes out.
 
 Topology files are YAML; the schema is documented in config-schema.md.
 """
@@ -47,6 +49,7 @@ from .metrics import MasterMetrics, MetricsRecord
 from .trace import TraceRecorder
 
 DEFAULT_MAX_CYCLES = 1_000_000
+ANCHORS = 64    # untraced runs stop looking for a repeat after this many without one
 
 # Data-bus address at which an injector's configuration window appears
 # when it is programmed over the data bus instead of the dedicated port.
@@ -358,6 +361,7 @@ class Victim:
         self.issued = 0
         self.pending = None
         self.ready_cycle = 0
+        self.paced_at = -1    # last issue that waited for its k*period slot
 
     @property
     def terminal(self) -> bool:
@@ -371,8 +375,10 @@ class Victim:
             self.ready_cycle = self.pending.complete_cycle
             self.pending = None
         if self.issued < self.spec.count:
-            due = max(self.issued * self.spec.period, self.ready_cycle)
-            if now >= due:
+            slot = self.issued * self.spec.period
+            if now >= max(slot, self.ready_cycle):
+                if slot > self.ready_cycle:
+                    self.paced_at = now
                 self.pending = self.port.submit(self.spec.kind, self.spec.address,
                                                 self.spec.size_bytes, now)
                 self.issued += 1
@@ -381,6 +387,27 @@ class Victim:
         if self.pending is not None or self.terminal:
             return None
         return max(now + 1, self.issued * self.spec.period, self.ready_cycle)
+
+    def state(self, now: int) -> tuple:
+        """Relative state (bar a pending access's slot: see room), and issues so far."""
+        idle = self.pending is None and not self.terminal
+        slot = idle and self.issued * self.spec.period - now
+        return (self.pending is None, self.terminal, slot), self.issued
+
+    def room(self, issued: int, start: int, cycles: int) -> int:
+        """How many more times the ``cycles``-cycle period since ``start`` may
+        repeat, one left before count.  A period longer than its issues' slots
+        drifts them earlier, which is exact only if no issue waited for its slot."""
+        n = self.issued - issued
+        drift = cycles - n * self.spec.period
+        if drift < 0 or drift and self.paced_at > start:
+            return 0
+        return (self.spec.count - self.issued) // n - 1
+
+    def shift(self, k: int, issued: int, cycles: int):
+        if self.issued > issued:    # a finished victim stays as it is
+            self.ready_cycle += k * cycles
+            self.issued += k * (self.issued - issued)
 
 
 class InjectorHost:
@@ -446,6 +473,13 @@ class InjectorHost:
             return None  # waiting on a programming write; the bus reports it
         return self.injector.next_event(now)
 
+    def state(self, now: int) -> tuple:
+        return ((self.enabled, self.programmed, self._prog_index, self.injector.state(now)),
+                self.injector.completed_count)
+
+    def shift(self, k: int, completed: int, cycles: int):
+        self.injector.shift(k * (self.injector.completed_count - completed), k * cycles)
+
 
 # ---------------------------------------------------------------------------
 # Simulation
@@ -454,10 +488,12 @@ class InjectorHost:
 class _Partition:
     """One bus and its masters (indexed by master id), with the calendar
     (cycle -> ids due then), the heap of calendar cycles, the masters that
-    may still block termination, the next cycle to visit and the last
-    cycle visited.  No state is shared with another partition."""
+    may still block termination, the next and the last cycle visited, the
+    anchors seen, how many more to look at and the bus's next id at the
+    last look.  It shares no state."""
 
-    __slots__ = ("bus", "masters", "calendar", "wakeups", "live", "now", "last")
+    __slots__ = ("bus", "masters", "calendar", "wakeups", "live", "now", "last",
+                 "seen", "looks", "ids")
 
     def __init__(self, bus):
         self.bus = bus
@@ -528,6 +564,7 @@ class Simulation:
             part.calendar = {self.now: set(part.live)}
             part.wakeups = [self.now]
             part.now, part.last = self.now, self.now - 1
+            part.seen, part.looks, part.ids = {}, ANCHORS if self.trace is None else 0, 0
         ends = [self._advance(part, limit, settle=True) for part in parts]
         self.finished = None not in ends
         stop = max(ends) + 1 if self.finished else limit
@@ -573,7 +610,43 @@ class Simulation:
             part.now = now = nxt
             if settle and not live:
                 return part.last
+            if part.looks and bus.next_id != part.ids:    # a submit since the last look
+                self._fast_forward(part, stop)
+                now, part.ids = part.now, bus.next_id
         return None
+
+    def _fast_forward(self, part: _Partition, stop: int):
+        """At an anchor t (a visit with a submit) whose relative state was seen
+        at anchor t0, skip as many periods t - t0 as victims and stop allow.
+        While a host is programming, the state cannot repeat: it is not kept."""
+        bus, masters, t = part.bus, part.masters, part.last
+        seen = None
+        if not any(isinstance(m, InjectorHost) and m.enabled and not m.programmed
+                   for m in masters):
+            states = [m.state(t) for m in masters]      # (relative state, progress) each
+            key = (bus.state(t), tuple(sorted(part.live)), tuple(s for s, _ in states),
+                   tuple((c - t, *sorted(ids)) for c, ids in sorted(part.calendar.items())))
+            seen = part.seen.get(key)
+            part.seen[key] = (t, bus.next_id, len(bus.completed), [p for _, p in states])
+        if seen is None:
+            part.looks -= 1
+            return
+        part.looks = ANCHORS
+        t0, submitted, retired, progress = seen
+        cycles = t - t0
+        k = min([(stop - 1 - t) // cycles - 1, *(
+            m.room(p, t0, cycles) for m, p in zip(masters, progress)
+            if isinstance(m, Victim) and m.issued > p)])
+        if k > 0:
+            bus.shift(k, cycles, submitted, retired)
+            for m, p in zip(masters, progress):
+                m.shift(k, p, cycles)
+            dt = k * cycles
+            for c in sorted(part.calendar, reverse=True):
+                part.calendar[c + dt] = part.calendar.pop(c)
+            part.wakeups[:] = [c + dt for c in part.wakeups]
+            part.now, part.last = part.now + dt, part.last + dt
+            part.seen.clear()
 
     # -- metrics ------------------------------------------------------------
 

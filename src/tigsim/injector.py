@@ -246,6 +246,21 @@ class Injector:
             | (self._completed << 16)
         )
 
+    def state(self, now: int) -> tuple:
+        """What decides the engine's future, buffer aside, relative to ``now``."""
+        nxt, st = self._next, self._exec
+        return (self._ctrl, self._armed, self._done, self._err, self._irq, self._errinfo,
+                nxt and (nxt.index, nxt.words, nxt.desc is None, nxt.ready_at - now),
+                st and (st.index, st.rep, st.addr, st.delay_end and st.delay_end - now))
+
+    def shift(self, completed: int, cycles: int):
+        """Move the engine ``cycles`` on, ``completed`` more descriptors retired."""
+        self._completed = min(self._completed + completed, COMPLETED_MAX)
+        if self._next is not None:
+            self._next.ready_at += cycles
+        if self._exec is not None and self._exec.delay_end is not None:
+            self._exec.delay_end += cycles
+
     # -- engine -------------------------------------------------------------
 
     def step(self, now: int):

@@ -129,7 +129,7 @@ class _Bus:
         self.trace = trace
         self.masters: list[str] = []
         self.completed: list[Transaction] = []
-        self._next_id = 0
+        self.next_id = 0
         self._ids_twice: list[int] = []   # 0..n-1 twice: any rotation is a slice
         read = _Channel()
         self._channels = [read] if self._serial else [read, _Channel()]
@@ -155,9 +155,9 @@ class _Bus:
         ch = self._channel_of.get(kind)
         if ch is None:
             raise ValueError(f"transaction kind must be 'read' or 'write', got {kind!r}")
-        txn = Transaction(self._next_id, master_id, kind, address & 0xFFFFFFFF,
+        txn = Transaction(self.next_id, master_id, kind, address & 0xFFFFFFFF,
                           beats_for(size_bytes), now)
-        self._next_id += 1
+        self.next_id += 1
         ch.queues[master_id].append(txn)
         ch.waiting += 1
         if self.trace:
@@ -231,6 +231,39 @@ class _Bus:
 
     def idle(self) -> bool:
         return not any(ch.granted or ch.waiting for ch in self._channels)
+
+    def state(self, now: int) -> tuple:
+        """What decides this bus's future: ids relative to ``next_id``, cycles
+        to ``now``, a next free beat no earlier than a later grant can use."""
+        def rel(c):
+            return None if c is None else c - now
+        return tuple((*[(t.txn_id - self.next_id, t.master_id, t.kind, t.address, t.beats,
+                         rel(t.request_cycle), rel(t.grant_cycle), rel(t.complete_cycle))
+                        for t in (*ch.granted, *[t for q in ch.queues for t in q])],
+                      ch.rr_next, max(ch.next_beat_free - now, self.target.first_latency))
+                     for ch in self._channels)
+
+    def shift(self, k: int, cycles: int, since: int, first: int):
+        """Repeat k times the period of ``cycles`` cycles ending now, which dealt
+        ids ``since`` on and retired ``completed[first:]``; move all on."""
+        ids, period = self.next_id - since, self.completed[first:]
+        for j in range(1, k + 1):
+            dt = j * cycles
+            for t in period:
+                request = t.request_cycle + dt
+                grant = request if t.grant_cycle == t.request_cycle else t.grant_cycle + dt
+                self.completed.append(Transaction(
+                    t.txn_id + j * ids, t.master_id, t.kind, t.address, t.beats,
+                    request, grant, t.complete_cycle + dt, True))
+        self.next_id += k * ids
+        for ch in self._channels:
+            ch.next_beat_free += k * cycles
+            for t in (*ch.granted, *[t for q in ch.queues for t in q]):
+                t.txn_id += k * ids
+                t.request_cycle += k * cycles
+                if t.grant_cycle is not None:
+                    t.grant_cycle += k * cycles
+                    t.complete_cycle += k * cycles
 
 
 class AhbBus(_Bus):

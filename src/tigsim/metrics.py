@@ -44,7 +44,7 @@ class MasterMetrics:
     role: str
     txn_count: int = 0
     total_bytes: int = 0
-    latencies: list[int] = field(default_factory=list)
+    latencies: dict[int, int] = field(default_factory=dict)   # latency -> transactions
     first_request: int | None = None
     completion_cycle: int | None = None
     slowdown: float | None = None
@@ -54,34 +54,43 @@ class MasterMetrics:
             raise ValueError(f"transaction {txn.txn_id} has not completed")
         self.txn_count += 1
         self.total_bytes += txn.beats * BUS_WIDTH_BYTES
-        self.latencies.append(txn.complete_cycle - txn.request_cycle)
+        latency = txn.complete_cycle - txn.request_cycle
+        self.latencies[latency] = self.latencies.get(latency, 0) + 1
         if self.first_request is None or txn.request_cycle < self.first_request:
             self.first_request = txn.request_cycle
         if self.completion_cycle is None or txn.complete_cycle > self.completion_cycle:
             self.completion_cycle = txn.complete_cycle
 
+    def _percentile(self, q) -> int | None:
+        """percentile() of the recorded latencies; None if there are none."""
+        rank = max(math.ceil(q / 100 * self.txn_count), 1)
+        for latency in sorted(self.latencies):
+            rank -= self.latencies[latency]
+            if rank <= 0:
+                return latency
+
     @property
     def avg_latency(self) -> float | None:
-        if not self.latencies:
+        if not self.txn_count:
             return None
-        return sum(self.latencies) / len(self.latencies)
+        return sum(lat * n for lat, n in self.latencies.items()) / self.txn_count
 
     @property
     def p50(self) -> int | None:
-        return percentile(self.latencies, 50) if self.latencies else None
+        return self._percentile(50)
 
     @property
     def p95(self) -> int | None:
-        return percentile(self.latencies, 95) if self.latencies else None
+        return self._percentile(95)
 
     @property
     def max_latency(self) -> int | None:
-        return max(self.latencies) if self.latencies else None
+        return max(self.latencies, default=None)
 
     @property
     def bandwidth(self) -> float | None:
         """Bytes per cycle over this master's own active interval."""
-        if not self.latencies:
+        if not self.txn_count:
             return None
         span = self.completion_cycle - self.first_request
         if span <= 0:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from tigsim import descriptors as dm
+from tigsim import harness
 from tigsim.harness import (
     BusSpec,
     ConfigError,
@@ -19,7 +20,9 @@ from tigsim.harness import (
     run,
     run_pair,
 )
-from tigsim.metrics import emit_csv
+from tigsim.injector import ERRINFO_OFFSET, STATUS_OFFSET
+from tigsim.interconnect import _Bus
+from tigsim.metrics import emit_csv, emit_transactions_csv
 
 SAMPLES = Path(__file__).parent.parent / "samples"
 
@@ -351,10 +354,10 @@ def random_topology(rng: random.Random, pattern_dir: Path) -> dict:
     return {"buses": buses, "masters": victims + injectors, "max_cycles": 3000}
 
 
-def run_record(sim):
+def run_record(sim, max_cycles=None):
     """The record of sim.run(), partial when it hit the cycle limit."""
     try:
-        return sim.run()
+        return sim.run(max_cycles)
     except CycleLimitExceeded as exc:
         return exc.records[0]
 
@@ -384,43 +387,49 @@ def test_run_equals_step_cycle_on_random_topology(seed, tmp_path):
 
 @pytest.mark.parametrize("seed", range(60))
 def test_conservation_on_random_topology(seed, tmp_path):
-    """Nothing a master submits is lost, duplicated or mis-sized."""
+    """Nothing a master submits is lost, duplicated or mis-sized, in a
+    traced run and in an untraced one, which may skip repeating periods."""
     topo = load_topology(random_topology(random.Random(seed), tmp_path),
                          base_dir=tmp_path)
-    sim = build(topo)
-    submitted = {bus.name: [] for bus in sim.buses.values()}
-    for bus in sim.buses.values():
-        def submit(master_id, kind, address, size_bytes, now,
-                   _submit=bus.submit, _log=submitted[bus.name]):
-            txn = _submit(master_id, kind, address, size_bytes, now)
-            _log.append((txn, size_bytes))
-            return txn
-        bus.submit = submit
-    record = run_record(sim)
+    for traced in (True, False):
+        sim = build(topo, trace_enabled=traced)
+        submitted = {bus.name: [] for bus in sim.buses.values()}
+        for bus in sim.buses.values():
+            def submit(master_id, kind, address, size_bytes, now,
+                       _submit=bus.submit, _log=submitted[bus.name]):
+                txn = _submit(master_id, kind, address, size_bytes, now)
+                _log.append((txn, size_bytes))
+                return txn
+            bus.submit = submit
+        record = run_record(sim)
 
-    beats = dict.fromkeys(record.masters, 0)
-    for name, txn in sim.transactions():
-        beats[name] += txn.beats
-    for name, mm in record.masters.items():
-        assert mm.total_bytes == 4 * beats[name], name
+        beats = dict.fromkeys(record.masters, 0)
+        for name, txn in sim.transactions():
+            beats[name] += txn.beats
+        for name, mm in record.masters.items():
+            assert mm.total_bytes == 4 * beats[name], name
 
-    for bus in sim.buses.values():
-        assert all(ch.waiting == sum(map(len, ch.queues)) for ch in bus._channels)
-        log = submitted[bus.name]
-        assert all(txn.beats == -(-size // 4) for txn, size in log)
-        for master_id, name in enumerate(bus.masters):
-            waiting = sum(len(ch.queues[master_id]) for ch in bus._channels)
-            granted = sum(t.master_id == master_id
-                          for ch in bus._channels for t in ch.granted)
-            submits = sum(txn.master_id == master_id for txn, _ in log)
-            assert submits == record.masters[name].txn_count + waiting + granted, name
-        if bus.kind == "ahb":
-            # An AHB grant waits for the previous completion, so the bus
-            # is busy exactly L + beats cycles per transaction up to the
-            # last completion, and a transaction still in flight adds none.
-            end = max((t.complete_cycle for t in bus.completed), default=0)
-            assert bus.busy_cycles_between(0, end) == sum(
-                bus.target.first_latency + t.beats for t in bus.completed)
+        for bus in sim.buses.values():
+            assert all(ch.waiting == sum(map(len, ch.queues)) for ch in bus._channels)
+            log = submitted[bus.name]
+            assert all(txn.beats == -(-size // 4) for txn, size in log)
+            live = [t for ch in bus._channels
+                    for t in (*ch.granted, *[t for q in ch.queues for t in q])]
+            ids = sorted(t.txn_id for t in (*bus.completed, *live))
+            assert ids == list(range(bus.next_id))
+            if traced:
+                # Every submit is simulated (none skipped), so the log holds each.
+                for master_id, name in enumerate(bus.masters):
+                    live_here = sum(t.master_id == master_id for t in live)
+                    submits = sum(txn.master_id == master_id for txn, _ in log)
+                    assert submits == record.masters[name].txn_count + live_here, name
+            if bus.kind == "ahb":
+                # An AHB grant waits for the previous completion, so the bus
+                # is busy exactly L + beats cycles per transaction up to the
+                # last completion, and a transaction still in flight adds none.
+                end = max((t.complete_cycle for t in bus.completed), default=0)
+                assert bus.busy_cycles_between(0, end) == sum(
+                    bus.target.first_latency + t.beats for t in bus.completed)
 
 
 def test_run_steps_a_waiting_victim_only_when_due():
@@ -497,7 +506,7 @@ def test_a_bus_without_traffic_is_not_stepped_at_other_buses_events():
                  MasterSpec("core0", "ahb0", "victim", victim=victim_spec()),
                  MasterSpec("inj0", "ahb0", "injector", injector=loop_injector())),
     )
-    sim = build(topo)
+    sim = build(topo, trace_enabled=True)   # an untraced run may skip ahb0's visits
     visits = dict.fromkeys(sim.buses, 0)
     for name, bus in sim.buses.items():
         def begin_cycle(now, _begin=bus.begin_cycle, _name=name):
@@ -622,3 +631,104 @@ def test_run_pair_contended_limit_keeps_both_records():
     records = excinfo.value.records
     assert [(r.scenario, r.partial) for r in records] == [
         ("baseline", False), ("contended", True)]
+
+
+# ---------------------------------------------------------------------------
+# fast-forward: untraced runs skip repeating periods, traced runs do not
+# ---------------------------------------------------------------------------
+
+def outcome(sim, record):
+    """Everything a run shows: the metrics and transaction CSVs, where it
+    stopped, each injector's STATUS and ERRINFO, and the transactions
+    still queued or granted."""
+    return (emit_csv([record]),
+            emit_transactions_csv((record.scenario, name, txn)
+                                  for name, txn in sim.transactions()),
+            sim.now, record.partial,
+            [(h.injector.apb_read(STATUS_OFFSET), h.injector.apb_read(ERRINFO_OFFSET))
+             for h in sim.hosts],
+            [[*ch.granted, *[t for q in ch.queues for t in q]]
+             for bus in sim.buses.values() for ch in bus._channels])
+
+
+def run_outcome(topo, traced, max_cycles=None):
+    sim = build(topo, trace_enabled=traced)
+    return outcome(sim, run_record(sim, max_cycles))
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_untraced_run_equals_traced_run_on_random_topology(seed, tmp_path):
+    """Long victims against looping injectors repeat their state, so the
+    untraced run skips periods that the traced run simulates."""
+    rng = random.Random(seed)
+    raw = random_topology(rng, tmp_path)
+    for master in raw["masters"]:
+        if master["role"] == "victim":
+            master["victim"]["count"] = rng.randint(20, 400)
+    raw["max_cycles"] = rng.choice((5000, 40000))
+    topo = load_topology(raw, base_dir=tmp_path)
+    assert run_outcome(topo, traced=False) == run_outcome(topo, traced=True)
+
+
+@pytest.mark.parametrize("max_cycles", [137, 5000, 500_000, 1_021_000])
+def test_untraced_dual_bus_run_equals_traced_run(max_cycles):
+    """The larger limits land inside periods that an unlimited run skips."""
+    topo = load_topology(SAMPLES / "dual_bus.yaml")
+    assert run_outcome(topo, False, max_cycles) == run_outcome(topo, True, max_cycles)
+
+
+def test_untraced_run_pair_equals_traced_run_pair(monkeypatch):
+    topo = load_topology(SAMPLES / "dual_bus.yaml")
+    outcomes = []
+    for traced in (False, True):
+        sims = []
+        monkeypatch.setattr(harness, "build",
+                            lambda *a, **kw: sims.append(build(*a, **kw)) or sims[-1])
+        pair = run_pair(topo, trace_enabled=traced)
+        outcomes.append((pair.slowdown, outcome(sims[0], pair.baseline),
+                         outcome(sims[1], pair.contended)))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_run_pair_on_dual_bus_visits_a_bus_rarely(monkeypatch):
+    """Each bus's state repeats within a few hundred cycles, so the pair
+    visits a bus at under 1,000 of its 1.3 million cycles."""
+    visits = []
+    begin_cycle = _Bus.begin_cycle
+    monkeypatch.setattr(_Bus, "begin_cycle",
+                        lambda bus, now: (visits.append(now), begin_cycle(bus, now))[1])
+    pair = run_pair(load_topology(SAMPLES / "dual_bus.yaml"))
+    assert pair.contended.masters["core0"].txn_count == 7000
+    assert len(visits) <= 1000
+
+
+def test_an_aperiodic_partition_stops_looking_for_repeats(tmp_path):
+    """fanout_64's shape: per bus, 16 victims of random periods against 16
+    looping injectors.  Their joint state does not repeat, so each bus
+    computes its state at no more than 64 anchors."""
+    rng = random.Random(5)
+    raw = {"buses": [{"name": "ahb0", "kind": "ahb", "L": 1, "policy": "round_robin"},
+                     {"name": "axi0", "kind": "axi", "L": 2, "policy": "round_robin",
+                      "O": 2}],
+           "masters": []}
+    for bus in ("ahb0", "axi0"):
+        for i in range(16):
+            period = rng.randint(300, 600)
+            raw["masters"].append(
+                {"name": f"{bus}_v{i}", "bus": bus, "role": "victim",
+                 "victim": {"period": period, "count": 6000 // period, "kind": "read",
+                            "address": 0x8000_0000, "size_bytes": rng.choice((4, 16, 64))}})
+        for i in range(16):
+            raw["masters"].append(
+                {"name": f"{bus}_i{i}", "bus": bus, "role": "injector",
+                 "injector": {"descriptors": random_program(rng, dsl=False),
+                              "ctrl": ["loop", "pipe"] if i % 2 else ["loop"]}})
+    sim = build(load_topology(raw))
+    keys = dict.fromkeys(sim.buses, 0)
+    for name, bus in sim.buses.items():
+        def state(now, _state=bus.state, _name=name):
+            keys[_name] += 1
+            return _state(now)
+        bus.state = state
+    sim.run()
+    assert all(0 < n <= 64 for n in keys.values()), keys

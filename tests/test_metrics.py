@@ -48,10 +48,22 @@ def test_percentile_bounds_and_monotonicity(samples):
     assert all(v in samples for v in values)
 
 
+@given(st.lists(st.integers(0, 300), min_size=1, max_size=200))
+def test_histogram_stats_equal_the_sample_stats(samples):
+    """The latency histogram gives what the sorted samples give."""
+    m = MasterMetrics("m0", "victim")
+    for i, latency in enumerate(samples):
+        m.record(txn(i, 1000 + i, 1000 + i + latency))
+    assert m.p50 == percentile(samples, 50)
+    assert m.p95 == percentile(samples, 95)
+    assert m.max_latency == max(samples)
+    assert m.avg_latency == sum(samples) / len(samples)
+
+
 def test_record_latency_from_interconnect_example():
     m = MasterMetrics("m0", "victim")
     m.record(txn(0, 0, 3))  # L=2 single read
-    assert m.latencies == [3]
+    assert m.latencies == {3: 1}
 
 
 def test_record_aggregates():
