@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from . import harness, metrics, pattern
+from .descriptors import encode_image
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -92,7 +93,7 @@ def cmd_compile(args) -> int:
         print(f"tigsim: {args.pattern}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.format == "bin":
-        _write_bytes(args.out, pattern.render_image(descriptors))
+        _write_bytes(args.out, encode_image(descriptors))
     elif args.format == "hex":
         _write_text(args.out, pattern.render_hex(descriptors))
     else:

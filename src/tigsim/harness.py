@@ -44,7 +44,7 @@ import yaml
 from . import descriptors as dm
 from . import pattern as pat
 from .injector import CapacityExceeded, Injector
-from .interconnect import POLICIES, AhbBus, AxiBus, MasterPort, TargetModel
+from .interconnect import POLICIES, AhbBus, AxiBus
 from .metrics import MasterMetrics, MetricsRecord
 from .trace import TraceRecorder
 
@@ -354,10 +354,11 @@ def _parse_yaml(text: str, where: str):
 class Victim:
     """Closed-loop synthetic core issuing a fixed access pattern."""
 
-    def __init__(self, name: str, spec: VictimSpec, port: MasterPort):
+    def __init__(self, name: str, spec: VictimSpec, bus, master_id: int):
         self.name = name
         self.spec = spec
-        self.port = port
+        self.bus = bus
+        self.master_id = master_id
         self.issued = 0
         self.pending = None
         self.ready_cycle = 0
@@ -379,8 +380,9 @@ class Victim:
             if now >= max(slot, self.ready_cycle):
                 if slot > self.ready_cycle:
                     self.paced_at = now
-                self.pending = self.port.submit(self.spec.kind, self.spec.address,
-                                                self.spec.size_bytes, now)
+                self.pending = self.bus.submit(self.master_id, self.spec.kind,
+                                               self.spec.address, self.spec.size_bytes,
+                                               now)
                 self.issued += 1
 
     def next_event(self, now: int) -> int | None:
@@ -413,13 +415,12 @@ class Victim:
 class InjectorHost:
     """Ties one injector core to its bus and carries out programming."""
 
-    def __init__(self, name: str, spec: InjectorSpec, port: MasterPort,
+    def __init__(self, name: str, spec: InjectorSpec, bus, master_id: int,
                  trace: TraceRecorder | None, enabled: bool):
         self.name = name
         self.spec = spec
-        self.port = port
         self.enabled = enabled and spec.enabled
-        self.injector = Injector(name, port=port, trace=trace)
+        self.injector = Injector(name, bus=bus, master_id=master_id, trace=trace)
         self.sequence = pat.emit_apb_sequence(list(spec.descriptors), spec.ctrl)
         self.programmed = False
         self._prog_index = 0
@@ -456,8 +457,9 @@ class InjectorHost:
             if self._prog_index < len(self.sequence):
                 offset, _ = self.sequence[self._prog_index]
                 self._prog_index += 1
-                self._prog_txn = self.port.submit(
-                    "write", DATA_BUS_MMIO_BASE + offset, 4, now)
+                inj = self.injector
+                self._prog_txn = inj.bus.submit(
+                    inj.master_id, "write", DATA_BUS_MMIO_BASE + offset, 4, now)
                 return False
         for offset, value in self.sequence:
             self.injector.apb_write(offset, value)
@@ -486,13 +488,13 @@ class InjectorHost:
 # ---------------------------------------------------------------------------
 
 class _Partition:
-    """One bus and its masters (indexed by master id), with the calendar
-    (cycle -> ids due then), the heap of calendar cycles, the masters that
-    may still block termination, the next and the last cycle visited, the
-    anchors seen, how many more to look at and the bus's next id at the
-    last look.  It shares no state."""
+    """One bus and its masters (indexed by master id), with the heap of
+    (cycle, master id) wakeups, the masters that may still block
+    termination, the next and the last cycle visited, the anchors seen, how
+    many more to look at and the bus's next id at the last look.  It
+    shares no state."""
 
-    __slots__ = ("bus", "masters", "calendar", "wakeups", "live", "now", "last",
+    __slots__ = ("bus", "masters", "wakeups", "live", "now", "last",
                  "seen", "looks", "ids")
 
     def __init__(self, bus):
@@ -512,10 +514,9 @@ class Simulation:
         self.finished = False
         for spec in topology.buses:
             if spec.kind == "ahb":
-                bus = AhbBus(spec.name, TargetModel(spec.latency),
-                             policy=spec.policy, trace=self.trace)
+                bus = AhbBus(spec.name, spec.latency, policy=spec.policy, trace=self.trace)
             else:
-                bus = AxiBus(spec.name, TargetModel(spec.latency),
+                bus = AxiBus(spec.name, spec.latency,
                              policy=spec.policy, outstanding=spec.outstanding,
                              trace=self.trace)
             self.buses[spec.name] = bus
@@ -544,8 +545,8 @@ class Simulation:
         self.now += 1
 
     def _next_event(self, part: _Partition, now: int) -> int | None:
-        """A partition's earliest master wakeup on its calendar or bus event."""
-        nxt = part.wakeups[0] if part.wakeups else None
+        """A partition's earliest master wakeup on its heap or bus event."""
+        nxt = part.wakeups[0][0] if part.wakeups else None
         c = part.bus.next_event(now)
         if c is not None and (nxt is None or c < nxt):
             nxt = c
@@ -561,8 +562,7 @@ class Simulation:
         parts = list(self._parts.values())
         for part in parts:
             part.live = set(range(len(part.masters)))
-            part.calendar = {self.now: set(part.live)}
-            part.wakeups = [self.now]
+            part.wakeups = [(self.now, i) for i in range(len(part.masters))]
             part.now, part.last = self.now, self.now - 1
             part.seen, part.looks, part.ids = {}, ANCHORS if self.trace is None else 0, 0
         ends = [self._advance(part, limit, settle=True) for part in parts]
@@ -581,13 +581,13 @@ class Simulation:
         """Visit part's events below stop.  With settle, return as soon as
         its live set is empty, with the cycle it emptied at; else None."""
         bus, masters, live = part.bus, part.masters, part.live
-        calendar, wakeups, completed = part.calendar, part.wakeups, bus.completed
+        wakeups, completed = part.wakeups, bus.completed
         begin_cycle, arbitrate = bus.begin_cycle, bus.arbitrate
         now = part.now
         while now is not None and now < stop:
-            due = calendar.pop(now, set())
-            while wakeups and wakeups[0] == now:
-                heapq.heappop(wakeups)
+            due = set()
+            while wakeups and wakeups[0][0] == now:
+                due.add(heapq.heappop(wakeups)[1])
             retired = len(completed)
             begin_cycle(now)
             while retired < len(completed):     # wake the retirements' owners
@@ -602,8 +602,7 @@ class Simulation:
                     live.discard(i)
                 wake = masters[i].next_event(now)
                 if wake is not None:
-                    calendar.setdefault(wake, set()).add(i)
-                    heapq.heappush(wakeups, wake)
+                    heapq.heappush(wakeups, (wake, i))
             nxt = self._next_event(part, now)
             if nxt is not None and nxt <= now:
                 raise AssertionError(f"event scheduler stuck at cycle {now}")
@@ -625,7 +624,7 @@ class Simulation:
                    for m in masters):
             states = [m.state(t) for m in masters]      # (relative state, progress) each
             key = (bus.state(t), tuple(sorted(part.live)), tuple(s for s, _ in states),
-                   tuple((c - t, *sorted(ids)) for c, ids in sorted(part.calendar.items())))
+                   tuple(sorted({(c - t, i) for c, i in part.wakeups})))
             seen = part.seen.get(key)
             part.seen[key] = (t, bus.next_id, len(bus.completed), [p for _, p in states])
         if seen is None:
@@ -642,9 +641,7 @@ class Simulation:
             for m, p in zip(masters, progress):
                 m.shift(k, p, cycles)
             dt = k * cycles
-            for c in sorted(part.calendar, reverse=True):
-                part.calendar[c + dt] = part.calendar.pop(c)
-            part.wakeups[:] = [c + dt for c in part.wakeups]
+            part.wakeups[:] = [(c + dt, i) for c, i in part.wakeups]
             part.now, part.last = part.now + dt, part.last + dt
             part.seen.clear()
 
@@ -676,12 +673,12 @@ def build(topology: Topology, trace_enabled: bool = False,
     sim = Simulation(topology, trace_enabled=trace_enabled)
     for spec in topology.masters:
         bus = sim.buses[spec.bus]
-        port = bus.port(bus.add_master(spec.name))
+        master_id = bus.add_master(spec.name)
         if spec.role == "victim":
-            master = Victim(spec.name, spec.victim, port)
+            master = Victim(spec.name, spec.victim, bus, master_id)
             sim.victims.append(master)
         else:
-            master = InjectorHost(spec.name, spec.injector, port, sim.trace,
+            master = InjectorHost(spec.name, spec.injector, bus, master_id, sim.trace,
                                   enabled=not disable_injectors)
             sim.hosts.append(master)
         sim._masters.append(master)

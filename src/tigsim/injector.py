@@ -126,10 +126,13 @@ class _Exec:
 class Injector:
     """One traffic injector instance bound to at most one data bus."""
 
-    def __init__(self, name: str = "inj", port=None,
+    def __init__(self, name: str = "inj", bus=None, master_id: int = 0,
                  trace: TraceRecorder | None = None):
+        """Requests go to ``bus.submit`` as master ``master_id``; with no
+        bus, only the configuration port works."""
         self.name = name
-        self.port = port
+        self.bus = bus
+        self.master_id = master_id
         self.trace = trace
         self.buffer = [0] * BUFFER_WORDS
         self._ctrl = CTRL_RESET_VALUE
@@ -345,9 +348,10 @@ class Injector:
                 self.trace.injector(now, self.name, "EXEC",
                                     f"delay idx={st.index} until={st.delay_end}")
             return
-        if self.port is None:
-            raise RuntimeError(f"injector {self.name} has no data-bus port")
-        st.txn = self.port.submit(desc.kind.bus_kind, st.addr, desc.size_bytes, now)
+        if self.bus is None:
+            raise RuntimeError(f"injector {self.name} has no data bus")
+        st.txn = self.bus.submit(self.master_id, desc.kind.bus_kind, st.addr,
+                                 desc.size_bytes, now)
         if self.trace:
             self.trace.injector(now, self.name, "EXEC",
                                 f"issue idx={st.index} rep={st.rep} addr={st.addr:#010x}")

@@ -80,19 +80,6 @@ class TargetModel:
             raise ValueError("first_latency must be >= 1")
 
 
-class MasterPort:
-    """A master's handle onto one bus."""
-
-    __slots__ = ("bus", "master_id")
-
-    def __init__(self, bus, master_id: int):
-        self.bus = bus
-        self.master_id = master_id
-
-    def submit(self, kind: str, address: int, size_bytes: int, now: int) -> Transaction:
-        return self.bus.submit(self.master_id, kind, address, size_bytes, now)
-
-
 class _Channel:
     """Per-master queues and in-flight counts, the count of queued requests,
     and the granted transactions in grant order (also completion order)."""
@@ -144,9 +131,6 @@ class _Bus:
         n = len(self.masters)
         self._ids_twice = [*range(n)] * 2
         return n - 1
-
-    def port(self, master_id: int) -> MasterPort:
-        return MasterPort(self, master_id)
 
     def submit(self, master_id: int, kind: str, address: int,
                size_bytes: int, now: int) -> Transaction:

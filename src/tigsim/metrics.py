@@ -11,6 +11,7 @@ different cycles remain comparable.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .interconnect import BUS_WIDTH_BYTES, Transaction
@@ -27,13 +28,21 @@ class EmptySamples(ValueError):
 
 def percentile(samples, q) -> int:
     """Nearest-rank percentile; q in [0, 100], samples non-empty."""
-    if not samples:
+    counts = Counter(samples)
+    if not counts:
         raise EmptySamples("no samples")
     if not 0 <= q <= 100:
         raise ValueError(f"q must lie in [0, 100], got {q}")
-    ordered = sorted(samples)
-    rank = math.ceil(q / 100 * len(ordered))
-    return ordered[max(rank, 1) - 1]
+    return _nearest_rank(counts, counts.total(), q)
+
+
+def _nearest_rank(counts: dict[int, int], n: int, q) -> int | None:
+    """Nearest-rank percentile of n samples held as value -> count; None if n is 0."""
+    rank = max(math.ceil(q / 100 * n), 1)
+    for value in sorted(counts):
+        rank -= counts[value]
+        if rank <= 0:
+            return value
 
 
 @dataclass
@@ -61,14 +70,6 @@ class MasterMetrics:
         if self.completion_cycle is None or txn.complete_cycle > self.completion_cycle:
             self.completion_cycle = txn.complete_cycle
 
-    def _percentile(self, q) -> int | None:
-        """percentile() of the recorded latencies; None if there are none."""
-        rank = max(math.ceil(q / 100 * self.txn_count), 1)
-        for latency in sorted(self.latencies):
-            rank -= self.latencies[latency]
-            if rank <= 0:
-                return latency
-
     @property
     def avg_latency(self) -> float | None:
         if not self.txn_count:
@@ -77,11 +78,11 @@ class MasterMetrics:
 
     @property
     def p50(self) -> int | None:
-        return self._percentile(50)
+        return _nearest_rank(self.latencies, self.txn_count, 50)
 
     @property
     def p95(self) -> int | None:
-        return self._percentile(95)
+        return _nearest_rank(self.latencies, self.txn_count, 95)
 
     @property
     def max_latency(self) -> int | None:

@@ -219,10 +219,6 @@ def render_hex(descriptors: list[dm.Descriptor]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_image(descriptors: list[dm.Descriptor]) -> bytes:
-    return dm.encode_image(descriptors)
-
-
 def render_apb_csv(sequence: list[ApbWrite]) -> str:
     lines = ["offset,value"]
     lines.extend(f"{w.offset:#x},{w.value:#010x}" for w in sequence)

@@ -7,6 +7,7 @@ import yaml
 
 from tigsim import pattern as pat
 from tigsim.cli import main
+from tigsim.descriptors import encode_image
 from tigsim.injector import Injector
 
 SAMPLES = Path(__file__).parent.parent / "samples"
@@ -34,7 +35,7 @@ def test_compile_bin_matches_hex(tmp_path, capsys):
     assert code == 0
     blob = bin_path.read_bytes()
     descs = pat.compile_file(SAMPLES / "basic.tig")
-    assert blob == pat.render_image(descs)
+    assert blob == encode_image(descs)
 
 
 def test_compile_malformed_exits_2_with_line(tmp_path, capsys):
@@ -278,7 +279,7 @@ def test_compile_full_buffer_program(tmp_path, capsys, fmt):
     assert code == 0 and "compiled 128 descriptors" in err
     descs = pat.compile_file(src)
     expected = {"hex": pat.render_hex(descs).encode(),
-                "bin": pat.render_image(descs),
+                "bin": encode_image(descs),
                 "apb": pat.render_apb_csv(pat.emit_apb_sequence(descs)).encode()}
     assert out_path.read_bytes() == expected[fmt]
 

@@ -1,6 +1,7 @@
 """Topology building, victim behavior, runs, and baseline/contended pairs."""
 
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -430,6 +431,40 @@ def test_conservation_on_random_topology(seed, tmp_path):
                 end = max((t.complete_cycle for t in bus.completed), default=0)
                 assert bus.busy_cycles_between(0, end) == sum(
                     bus.target.first_latency + t.beats for t in bus.completed)
+
+
+def test_methods_wrapped_on_instances_after_build_see_every_call():
+    """A profiler may shadow these methods on the built instances; the run
+    must look each one up at call time, and every submit must pass through
+    its bus's wrapper."""
+    sim = build(load_topology(SAMPLES / "dual_bus.yaml"), trace_enabled=True)
+    hooks = [(sim, "_next_event")]
+    hooks += [(bus, attr) for bus in sim.buses.values()
+              for attr in ("begin_cycle", "arbitrate")]
+    hooks += [(master, "step") for master in (*sim.victims, *sim.hosts)]
+    hooks += [(host.injector, "step") for host in sim.hosts]
+    calls = [0] * len(hooks)
+    for n, (obj, attr) in enumerate(hooks):
+        def counted(*args, _original=getattr(obj, attr), _n=n):
+            calls[_n] += 1
+            return _original(*args)
+        setattr(obj, attr, counted)
+    submits = Counter()
+    for bus in sim.buses.values():
+        def submit(master_id, *args, _submit=bus.submit, _labels=bus.masters):
+            submits[_labels[master_id]] += 1
+            return _submit(master_id, *args)
+        bus.submit = submit
+
+    record = run_record(sim, max_cycles=5000)
+    assert record.partial
+    assert all(calls), [f"{type(obj).__name__}.{attr}"
+                        for (obj, attr), n in zip(hooks, calls) if not n]
+    for bus in sim.buses.values():
+        live = Counter(bus.masters[t.master_id] for ch in bus._channels
+                       for t in (*ch.granted, *[t for q in ch.queues for t in q]))
+        for name in bus.masters:
+            assert submits[name] == record.masters[name].txn_count + live[name], name
 
 
 def test_run_steps_a_waiting_victim_only_when_due():

@@ -31,7 +31,7 @@ from tigsim.trace import TraceRecorder
 def make_rig(descriptors, flags=("pipe",), latency=1, policy="fixed_priority"):
     bus = AhbBus("ahb", TargetModel(latency), policy=policy)
     master_id = bus.add_master("inj")
-    inj = Injector("inj", port=bus.port(master_id))
+    inj = Injector("inj", bus=bus, master_id=master_id)
     for off, val in pat.emit_apb_sequence(descriptors, flags):
         inj.apb_write(off, val)
     return inj, bus
@@ -408,7 +408,7 @@ def run_on_axi(descs, flags, latency=1):
     from tigsim.interconnect import AxiBus
     bus = AxiBus("axi", TargetModel(latency), outstanding=2)
     mid = bus.add_master("inj")
-    inj = Injector("inj", port=bus.port(mid))
+    inj = Injector("inj", bus=bus, master_id=mid)
     for off, val in pat.emit_apb_sequence(descs, flags):
         inj.apb_write(off, val)
     for now in range(400):
@@ -490,7 +490,7 @@ def test_status_per_cycle_legacy():
 def test_running_off_the_buffer_end_errs_and_drains_the_bus():
     trace = TraceRecorder()
     bus = AxiBus("axi", TargetModel(6), outstanding=2)
-    inj = Injector("inj", port=bus.port(bus.add_master("inj")), trace=trace)
+    inj = Injector("inj", bus=bus, master_id=bus.add_master("inj"), trace=trace)
     for i in range(BUFFER_WORDS // 2):   # 128 descriptors, none marked last
         w = dm.encode(dm.Descriptor(dm.Kind.WRITE, address=0x100 * i))
         inj.apb_write(BUFFER_BASE + 8 * i, w.word0)
@@ -560,7 +560,8 @@ def _raw_rig(seed, trace_recorder):
     rng = random.Random(seed)
     bus_type = AhbBus if rng.random() < 0.5 else AxiBus
     bus = bus_type("b", TargetModel(rng.randint(1, 4)), policy="round_robin")
-    inj = Injector("inj", port=bus.port(bus.add_master("inj")), trace=trace_recorder)
+    inj = Injector("inj", bus=bus, master_id=bus.add_master("inj"),
+                   trace=trace_recorder)
     n = rng.choice([2, 6, 128])
     ends = rng.random() < 0.4           # else no descriptor is marked last
     garbage = rng.randrange(n) if rng.random() < 0.3 else None

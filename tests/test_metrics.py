@@ -1,5 +1,7 @@
 """Metrics aggregation, percentiles, and CSV emission."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -46,6 +48,13 @@ def test_percentile_bounds_and_monotonicity(samples):
     values = [percentile(samples, q) for q in range(0, 101, 5)]
     assert values == sorted(values)
     assert all(v in samples for v in values)
+
+
+@given(st.lists(st.integers(0, 300), min_size=1, max_size=200), st.integers(0, 100))
+def test_percentile_equals_the_sorted_list_rank(samples, q):
+    """The histogram walk picks the nearest-rank element of the sorted samples."""
+    rank = max(math.ceil(q / 100 * len(samples)), 1)
+    assert percentile(samples, q) == sorted(samples)[rank - 1]
 
 
 @given(st.lists(st.integers(0, 300), min_size=1, max_size=200))

@@ -128,7 +128,7 @@ def test_lower_preserves_count_order_and_single_last():
 
 def test_lower_basic_tig_matches_golden_image():
     descs = pat.compile_file(SAMPLES / "basic.tig")
-    assert pat.render_image(descs) == BASIC_TIG_IMAGE
+    assert dm.encode_image(descs) == BASIC_TIG_IMAGE
 
 
 def test_apb_sequence_single_descriptor():
