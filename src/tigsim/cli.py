@@ -1,9 +1,9 @@
 """Command-line front end: compile patterns, run campaigns, dump traces.
 
 Exit codes: 0 success, 1 usage error, 2 input/parse/config error,
-3 cycle-limit exceeded (metrics CSV is still written, with the scenario
-column flagged ``:partial``).  Diagnostics go to stderr; data artifacts
-go to the requested file or stdout.
+3 cycle-limit exceeded (the metrics CSV, scenario column flagged
+``:partial``, and any requested trace are still written).  Diagnostics
+go to stderr; data artifacts go to the requested file or stdout.
 """
 
 from __future__ import annotations
@@ -109,6 +109,7 @@ def cmd_run(args) -> int:
             print(f"tigsim: {flag} cannot be combined with --pair "
                   "(two runs, two traces)", file=sys.stderr)
             return EXIT_USAGE
+    code = EXIT_OK
     try:
         topology = harness.load_topology(args.config)
         if args.seed is not None:
@@ -116,29 +117,27 @@ def cmd_run(args) -> int:
         if args.pair:
             result = harness.run_pair(topology, max_cycles=args.max_cycles)
             records = [result.baseline, result.contended]
-            trace = None
         else:
             trace_enabled = any(path is not None for path in traces.values())
             sim = harness.build(topology, trace_enabled=trace_enabled)
-            records = [sim.run(args.max_cycles)]
             trace = sim.trace
+            records = [sim.run(args.max_cycles)]
     except harness.ConfigError as exc:
         # An unreadable or unparsable file is already named by its path.
         where = "" if exc.path == args.config else f"{args.config}: "
         print(f"tigsim: {where}{exc}", file=sys.stderr)
         return EXIT_INPUT
     except harness.CycleLimitExceeded as exc:
-        _write_text(args.out, metrics.emit_csv(exc.records))
-        print("tigsim: cycle limit exceeded; partial metrics written",
-              file=sys.stderr)
-        return EXIT_LIMIT
+        # The recorder holds every event up to the limit: write it all.
+        records, code = exc.records, EXIT_LIMIT
+        print("tigsim: cycle limit exceeded; partial output written", file=sys.stderr)
 
     _write_text(args.out, metrics.emit_csv(records))
     if args.trace is not None:
         Path(args.trace).write_text(trace.bus_csv(), encoding="utf-8")
     if args.trace_injector is not None:
         Path(args.trace_injector).write_text(trace.injector_csv(), encoding="utf-8")
-    return EXIT_OK
+    return code
 
 
 def main(argv=None) -> int:

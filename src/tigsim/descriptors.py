@@ -204,12 +204,3 @@ def encode_image(descriptors: list[Descriptor]) -> bytes:
         words.extend((w.word0, w.word1))
     return struct.pack("<%dI" % len(words), *words)
 
-
-def decode_image(data: bytes) -> list[Descriptor]:
-    if len(data) % 8:
-        raise DescriptorError(f"image length {len(data)} is not a multiple of 8")
-    out = []
-    for off in range(0, len(data), 8):
-        w0, w1 = struct.unpack_from("<II", data, off)
-        out.append(decode(DescriptorWords(w0, w1)))
-    return out

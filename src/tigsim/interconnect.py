@@ -98,7 +98,8 @@ class _Channel:
 
 class _Bus:
     """The body of both buses.  ``_serial`` (AHB) means one channel for
-    reads and writes, AHB timing and no BEAT trace rows."""
+    reads and writes and AHB timing.  A traced bus logs each transaction
+    once, at submit; the trace renders its rows from that log."""
 
     kind: str
     _serial: bool
@@ -145,7 +146,7 @@ class _Bus:
         ch.queues[master_id].append(txn)
         ch.waiting += 1
         if self.trace:
-            self.trace.bus(now, self.name, "REQ", master_id, txn.txn_id)
+            self.trace.bus(self, txn)
         return txn
 
     def begin_cycle(self, now: int):
@@ -157,9 +158,6 @@ class _Bus:
                 txn.done = True
                 ch.in_flight[txn.master_id] -= 1
                 self.completed.append(txn)
-                if self.trace:
-                    self.trace.bus(txn.complete_cycle, self.name, "COMPLETE",
-                                   txn.master_id, txn.txn_id)
 
     def _pick(self, ch: _Channel) -> int | None:
         """The first master with a request and room under the cap, scanning
@@ -191,11 +189,6 @@ class _Bus:
             ch.in_flight[m] += 1
             ch.granted.append(txn)
             ch.rr_next = (m + 1) % len(self.masters)
-            if self.trace:
-                self.trace.bus(now, self.name, "GRANT", m, txn.txn_id)
-                if not self._serial:
-                    for b in range(txn.beats):
-                        self.trace.bus(first_beat + b, self.name, "BEAT", m, txn.txn_id)
 
     def next_event(self, now: int) -> int | None:
         """The earliest retirement, or ``now + 1`` while a channel that may

@@ -224,14 +224,3 @@ def render_apb_csv(sequence: list[ApbWrite]) -> str:
     lines.extend(f"{w.offset:#x},{w.value:#010x}" for w in sequence)
     return "\n".join(lines) + "\n"
 
-
-def parse_apb_csv(text: str) -> list[ApbWrite]:
-    """Inverse of render_apb_csv; tolerates a missing header row."""
-    seq = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line == "offset,value":
-            continue
-        offset_s, value_s = line.split(",")
-        seq.append(ApbWrite(int(offset_s, 0), int(value_s, 0)))
-    return seq

@@ -21,6 +21,12 @@ class Scenario:
     script: list  # (master_id, request_cycle, kind, size_bytes)
 
 
+def bus_trace_rows(trace):
+    """The rows of ``trace.bus_csv()`` as (cycle, bus, event, master_id, txn_id)."""
+    rows = [line.split(",") for line in trace.bus_csv().splitlines()[1:]]
+    return [(int(c), b, e, int(m), int(t)) for c, b, e, m, t in rows]
+
+
 def random_scenarios(seed: int, count: int, max_masters: int = 3):
     """Small scenarios: <= max_masters masters, <= 30 transactions, L <= 3."""
     rng = random.Random(seed)

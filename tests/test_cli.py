@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from tigsim import harness
 from tigsim import pattern as pat
 from tigsim.cli import main
 from tigsim.descriptors import encode_image
@@ -58,8 +59,11 @@ def test_compile_apb_replays_to_same_buffer_state(tmp_path, capsys):
                          "--format", "apb", "-o", str(out_path))
     assert code == 0
     replayed = Injector("r")
-    for off, val in pat.parse_apb_csv(out_path.read_text(encoding="utf-8")):
-        replayed.apb_write(off, val)
+    header, *lines = out_path.read_text(encoding="utf-8").splitlines()
+    assert header == "offset,value"
+    for line in lines:
+        off, val = line.split(",")
+        replayed.apb_write(int(off, 0), int(val, 0))
     direct = Injector("d")
     for off, val in pat.emit_apb_sequence(pat.compile_file(SAMPLES / "basic.tig")):
         direct.apb_write(off, val)
@@ -331,3 +335,18 @@ def test_trace_injector_with_pair_exits_1(tmp_path, capsys):
     assert code == 1
     assert "--trace-injector cannot be combined with --pair" in err
     assert out == "" and not inj_path.exists()
+
+
+def test_trace_at_the_cycle_limit_writes_both_traces(tmp_path, capsys):
+    bus_path, injector_path = tmp_path / "t.csv", tmp_path / "i.csv"
+    code, out, err = run_cli(capsys, "trace", str(SAMPLES / "dual_bus.yaml"),
+                             "--max-cycles", "137", "--trace", str(bus_path),
+                             "--trace-injector", str(injector_path))
+    assert code == 3
+    assert ":partial" in out and "cycle limit exceeded" in err
+    sim = harness.build(harness.load_topology(SAMPLES / "dual_bus.yaml"),
+                        trace_enabled=True)
+    with pytest.raises(harness.CycleLimitExceeded):
+        sim.run(137)
+    assert bus_path.read_text(encoding="utf-8") == sim.trace.bus_csv()
+    assert injector_path.read_text(encoding="utf-8") == sim.trace.injector_csv()

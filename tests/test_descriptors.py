@@ -135,15 +135,3 @@ def test_decode_encode_idempotent(word0, word1):
     if dm.validate(d):
         return
     assert dm.decode(dm.encode(d)) == d
-
-
-def test_image_round_trip():
-    descs = list(_grid())[:20]
-    blob = dm.encode_image(descs)
-    assert len(blob) == 8 * len(descs)
-    assert dm.decode_image(blob) == descs
-
-
-def test_image_bad_length():
-    with pytest.raises(dm.DescriptorError):
-        dm.decode_image(b"\x00" * 7)

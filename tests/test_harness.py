@@ -1,11 +1,13 @@
 """Topology building, victim behavior, runs, and baseline/contended pairs."""
 
+import hashlib
 import random
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from scenario_tools import bus_trace_rows
 from tigsim import descriptors as dm
 from tigsim import harness
 from tigsim.harness import (
@@ -69,6 +71,26 @@ def test_dual_bus_sample_builds():
 ])
 def test_sample_digests_are_pinned(sample, digest):
     assert load_topology(SAMPLES / sample).digest() == digest
+
+
+@pytest.mark.parametrize("max_cycles,bus_digest,injector_digest", [
+    (None, "d8eb7bd4f8f72e76ab0a3be5f402daae0b7df2a221a5f8788f3d75562811a758",
+     "52de40d1428735b00d946142bad54f8fb01ea66f8352df155db586c4318b219d"),
+    (5000, "b67a2903be7d4ceec88d9dc13873206a99466beece8ea2d9613d823feae22d04",
+     "65a6a2e660c8c66a944a48879c4892305dc5cc9384f21ef55bd22a9eb247e906"),
+    (137, "7fc9172c2c83bb82c0bdb1e28db715d99cece62fa839172801bfb75bf224e7c3",
+     "0471d3bddda50ea54f65089c1668e7a65fae11078ad729cdd0b5b24e49b340a8"),
+])
+def test_sample_trace_digests_are_pinned(max_cycles, bus_digest, injector_digest):
+    """The bytes of both traces of a traced dual_bus.yaml run, to the end
+    and cut at a cycle limit."""
+    sim = build(load_topology(SAMPLES / "dual_bus.yaml"), trace_enabled=True)
+    try:
+        sim.run(max_cycles)
+    except CycleLimitExceeded:
+        assert max_cycles is not None
+    assert hashlib.sha256(sim.trace.bus_csv().encode()).hexdigest() == bus_digest
+    assert hashlib.sha256(sim.trace.injector_csv().encode()).hexdigest() == injector_digest
 
 
 def test_config_schema_example_loads():
@@ -514,7 +536,7 @@ def test_partition_with_only_a_looping_injector_ends_with_the_run(b_first):
     end = record.cycles - 1
     assert not record.partial
     assert record.masters["core0"].completion_cycle == end
-    b_rows = [r[0] for r in sim.trace.bus_rows if r[1] == "b" and r[2] != "BEAT"]
+    b_rows = [r[0] for r in bus_trace_rows(sim.trace) if r[1] == "b" and r[2] != "BEAT"]
     assert max(b_rows) == end
     assert max(r[0] for r in sim.trace.injector_rows) == end
 
@@ -527,7 +549,7 @@ def test_cycle_limit_with_the_live_partition_registered_last():
         two_bus_topology(True, victim=slow, max_cycles=300))
     assert record.partial and record.cycles == 300
     assert record.masters["core0"].txn_count == 6
-    b_rows = [r[0] for r in sim.trace.bus_rows if r[1] == "b" and r[2] != "BEAT"]
+    b_rows = [r[0] for r in bus_trace_rows(sim.trace) if r[1] == "b" and r[2] != "BEAT"]
     assert max(b_rows) == 299
     assert max(r[0] for r in sim.trace.injector_rows) == 299
 
@@ -580,7 +602,8 @@ def test_axi_bus_is_not_visited_while_every_waiting_master_is_capped():
         master.step = step
     record = sim.run()
     assert min(record.masters[name].txn_count for name in ("inj0", "inj1")) > 10
-    active = steps | {r[0] for r in sim.trace.bus_rows if r[2] in ("GRANT", "COMPLETE")}
+    active = steps | {r[0] for r in bus_trace_rows(sim.trace)
+                      if r[2] in ("GRANT", "COMPLETE")}
     assert set(visits) <= active
 
 

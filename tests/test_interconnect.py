@@ -2,6 +2,7 @@
 
 import pytest
 
+from scenario_tools import bus_trace_rows
 from tigsim.interconnect import (
     AhbBus,
     AxiBus,
@@ -183,8 +184,51 @@ def test_trace_grant_rows():
     bus.add_master("m0")
     bus.add_master("m1")
     drive(bus, {0: [(0, "read", 4), (1, "read", 4)]})
-    grants = [(c, m) for c, b, e, m, t in trace.bus_rows if e == "GRANT"]
+    grants = [(c, m) for c, b, e, m, t in bus_trace_rows(trace) if e == "GRANT"]
     assert grants == [(0, 0), (3, 1)]
+
+
+# Both runs stop mid-way: each lists a retired transaction, one still
+# granted (no COMPLETE row) and one still queued (a REQ row only).
+AHB_ROWS = [
+    (0, "REQ", 0, 0), (0, "REQ", 1, 1), (0, "GRANT", 0, 0),
+    (1, "REQ", 0, 2),
+    (3, "GRANT", 0, 2), (3, "COMPLETE", 0, 0),
+    (6, "GRANT", 1, 1), (6, "COMPLETE", 0, 2),
+    (7, "REQ", 0, 3),
+]
+AXI_ROWS = [
+    (0, "REQ", 0, 0), (0, "REQ", 1, 1), (0, "GRANT", 0, 0), (0, "GRANT", 1, 1),
+    (1, "REQ", 0, 2), (1, "GRANT", 0, 2),
+    (2, "REQ", 0, 3), (2, "BEAT", 0, 0), (2, "BEAT", 1, 1), (2, "COMPLETE", 1, 1),
+    (3, "REQ", 0, 4), (3, "GRANT", 0, 3), (3, "BEAT", 0, 0), (3, "COMPLETE", 0, 0),
+    (4, "BEAT", 0, 2),
+    (5, "BEAT", 0, 3),
+]
+
+
+@pytest.mark.parametrize("kind,events,horizon,done,expected", [
+    ("ahb", {0: [(0, "read", 4), (1, "read", 8)], 1: [(0, "read", 4)],
+             7: [(0, "read", 4)]}, 8, [True, False, True, False], AHB_ROWS),
+    ("axi", {0: [(0, "read", 8), (1, "write", 4)], 1: [(0, "read", 4)],
+             2: [(0, "read", 4)], 3: [(0, "read", 4)]}, 4,
+     [True, True, False, False, False], AXI_ROWS),
+])
+def test_trace_rows_are_rendered_from_each_transaction(kind, events, horizon, done,
+                                                      expected):
+    """REQ at request, GRANT once granted, AXI BEATs at complete - beats + 1
+    .. complete (already known at grant, so a granted transaction's beats
+    may lie past the last cycle run), COMPLETE once retired; AHB has no
+    BEAT rows."""
+    from tigsim.trace import TraceRecorder
+    trace = TraceRecorder()
+    bus = (AhbBus("b", TargetModel(2), trace=trace) if kind == "ahb" else
+           AxiBus("b", TargetModel(2), outstanding=2, trace=trace))
+    bus.add_master("m0")
+    bus.add_master("m1")
+    txns = drive(bus, events, horizon)
+    assert [t.done for t in txns] == done
+    assert bus_trace_rows(trace) == [(c, "b", e, m, t) for c, e, m, t in expected]
 
 
 def test_axi_next_event_waits_for_a_retirement_when_every_waiter_is_capped():

@@ -165,11 +165,6 @@ def test_render_hex():
     assert text == "00006005\n80000000\n"
 
 
-def test_apb_csv_round_trip():
-    seq = pat.emit_apb_sequence(pat.compile_text("read 0x10\ndelay 5"), ["pipe"])
-    assert pat.parse_apb_csv(pat.render_apb_csv(seq)) == seq
-
-
 def test_apb_replay_equals_direct_load():
     """Replaying the emitted sequence through the configuration port
     leaves the same buffer contents as writing the words directly."""
