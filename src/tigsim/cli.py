@@ -56,10 +56,11 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=brief)
         p.add_argument("config", help="topology YAML file")
         p.add_argument("--out", "-o", help="metrics CSV path (default: stdout)")
-        p.add_argument("--max-cycles", type=_int_at_least(1), help="override the cycle cap")
+        p.add_argument("--max-cycles", type=_int_at_least(1),
+                       help="replace the config's max_cycles")
         p.add_argument("--pair", action="store_true",
                        help="run baseline (injectors disabled) and contended")
-        p.add_argument("--seed", type=_int_at_least(0), help="override the config seed")
+        p.add_argument("--seed", type=_int_at_least(0), help="replace the config's seed")
         p.add_argument("--trace", required=name == "trace",
                        help="bus event trace CSV path")
         p.add_argument("--trace-injector", metavar="PATH",
@@ -111,17 +112,18 @@ def cmd_run(args) -> int:
             return EXIT_USAGE
     code = EXIT_OK
     try:
-        topology = harness.load_topology(args.config)
-        if args.seed is not None:
-            topology = dataclasses.replace(topology, seed=args.seed)
+        overrides = {"seed": args.seed, "max_cycles": args.max_cycles}
+        topology = dataclasses.replace(
+            harness.load_topology(args.config),
+            **{key: value for key, value in overrides.items() if value is not None})
         if args.pair:
-            result = harness.run_pair(topology, max_cycles=args.max_cycles)
+            result = harness.run_pair(topology)
             records = [result.baseline, result.contended]
         else:
             trace_enabled = any(path is not None for path in traces.values())
             sim = harness.build(topology, trace_enabled=trace_enabled)
             trace = sim.trace
-            records = [sim.run(args.max_cycles)]
+            records = [sim.run()]
     except harness.ConfigError as exc:
         # An unreadable or unparsable file is already named by its path.
         where = "" if exc.path == args.config else f"{args.config}: "

@@ -13,8 +13,8 @@ reproduces the older architecture in which every buffer and control
 write travels over the shared data bus as an ordinary write transaction
 before injection starts.
 
-``step_cycle`` advances one cycle in three phases (bus retire, master
-step, bus arbitrate) and steps every master on every bus.  ``run``
+``step_cycle`` advances every bus one cycle in three phases (bus
+retire, master step, bus arbitrate), stepping each of its masters.  ``run``
 treats each bus and its masters as a partition sharing no state with
 the others and visits only that partition's events: cycles at which one
 of its masters is due (its ``next_event``, or its bus transaction
@@ -27,7 +27,12 @@ periods once a partition's state, relative to a visit at which its bus
 took a request, repeats.  All paths give identical metrics: identical
 topology in, identical metrics and trace bytes out.
 
-Topology files are YAML; the schema is documented in config-schema.md.
+A ``Topology`` is the whole configuration of a run, its name (the
+scenario label of the record), seed and cycle cap included; ``build``
+takes nothing else but whether to trace.  ``run_pair`` derives its two
+runs from one topology: the baseline with every injector disabled and
+the contended run as given.  Topology files are YAML; the schema is
+documented in config-schema.md.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import hashlib
 import heapq
 import json
 import re
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import yaml
@@ -296,21 +301,22 @@ def _load_master(raw, path, bus_names: tuple, base_dir: Path) -> MasterSpec:
 
 
 def load_topology(source, base_dir: Path | None = None) -> Topology:
-    """Load a topology from a YAML file path, YAML text, or a dict."""
-    if isinstance(source, dict):
-        raw = source
-        base = base_dir or Path.cwd()
-    elif isinstance(source, (str, Path)) and "\n" not in str(source):
+    """Load a topology from a YAML file path, or from the mapping such a
+    file parses to.  Pattern paths resolve against base_dir, by default
+    the file's directory (the working directory for a mapping)."""
+    if isinstance(source, (str, Path)):
         path = Path(source)
         try:
             text = path.read_text(encoding="utf-8")
+            # libyaml's parser when this PyYAML has it; both build the same values.
+            raw = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(str(source), f"cannot read: {exc}") from exc
-        raw = _parse_yaml(text, str(source))
+        except yaml.YAMLError as exc:
+            raise ConfigError(str(source), f"invalid YAML: {exc}") from exc
         base = base_dir or path.parent
     else:
-        raw = _parse_yaml(str(source), "<config>")
-        base = base_dir or Path.cwd()
+        raw, base = source, base_dir or Path.cwd()
 
     values = _mapping(raw, "", Topology)
     buses_raw = values.get("buses")
@@ -337,14 +343,6 @@ def load_topology(source, base_dir: Path | None = None) -> Topology:
         seed=_int_field(values, "seed", "", 0),
         max_cycles=_int_field(values, "max_cycles", "", 1),
     )
-
-
-def _parse_yaml(text: str, where: str):
-    try:
-        # libyaml's parser when this PyYAML has it; both build the same values.
-        return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-    except yaml.YAMLError as exc:
-        raise ConfigError(where, f"invalid YAML: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +414,10 @@ class InjectorHost:
     """Ties one injector core to its bus and carries out programming."""
 
     def __init__(self, name: str, spec: InjectorSpec, bus, master_id: int,
-                 trace: TraceRecorder | None, enabled: bool):
+                 trace: TraceRecorder | None):
         self.name = name
         self.spec = spec
-        self.enabled = enabled and spec.enabled
+        self.enabled = spec.enabled
         self.injector = Injector(name, bus=bus, master_id=master_id, trace=trace)
         self.sequence = pat.emit_apb_sequence(list(spec.descriptors), spec.ctrl)
         self.programmed = False
@@ -503,15 +501,15 @@ class _Partition:
 
 
 class Simulation:
-    """One built topology, ready to run exactly once."""
+    """One built topology, ready to run exactly once.  The topology is its
+    whole configuration, the cycle cap and the record's scenario label
+    included; only whether the run is traced is chosen apart from it."""
 
     def __init__(self, topology: Topology, trace_enabled: bool = False):
         self.topology = topology
-        self.scenario = topology.name    # the scenario label of its record
         self.trace = TraceRecorder() if trace_enabled else None
         self.buses: dict[str, AhbBus | AxiBus] = {}
         self.now = 0
-        self.finished = False
         for spec in topology.buses:
             if spec.kind == "ahb":
                 bus = AhbBus(spec.name, spec.latency, policy=spec.policy, trace=self.trace)
@@ -520,11 +518,21 @@ class Simulation:
                              policy=spec.policy, outstanding=spec.outstanding,
                              trace=self.trace)
             self.buses[spec.name] = bus
-        self._bus_list = list(self.buses.values())
         self._parts = {name: _Partition(bus) for name, bus in self.buses.items()}
+        # Masters are registered on their bus in file order; injectors
+        # program at their configured cycle once the run starts.
         self.victims: list[Victim] = []
         self.hosts: list[InjectorHost] = []
-        self._masters = []
+        for spec in topology.masters:
+            bus = self.buses[spec.bus]
+            master_id = bus.add_master(spec.name)
+            if spec.role == "victim":
+                master = Victim(spec.name, spec.victim, bus, master_id)
+                self.victims.append(master)
+            else:
+                master = InjectorHost(spec.name, spec.injector, bus, master_id, self.trace)
+                self.hosts.append(master)
+            self._parts[spec.bus].masters.append(master)
 
     def injector(self, name: str) -> Injector:
         for host in self.hosts:
@@ -536,12 +544,11 @@ class Simulation:
 
     def step_cycle(self):
         """Advance exactly one cycle, stepping every master (run's reference)."""
-        for bus in self._bus_list:
-            bus.begin_cycle(self.now)
-        for master in self._masters:
-            master.step(self.now)
-        for bus in self._bus_list:
-            bus.arbitrate(self.now)
+        for part in self._parts.values():
+            part.bus.begin_cycle(self.now)
+            for master in part.masters:
+                master.step(self.now)
+            part.bus.arbitrate(self.now)
         self.now += 1
 
     def _next_event(self, part: _Partition, now: int) -> int | None:
@@ -552,13 +559,14 @@ class Simulation:
             nxt = c
         return nxt
 
-    def run(self, max_cycles: int | None = None) -> MetricsRecord:
-        """Run to completion or the cycle cap; returns per-master metrics.
+    def run(self) -> MetricsRecord:
+        """Run to completion or the topology's cycle cap; returns per-master
+        metrics.
 
         Each partition runs until its live set empties, at cycle e_p; then
         every partition runs through its events up to E = max e_p (below
         the cap if some partition never finished)."""
-        limit = max_cycles if max_cycles is not None else self.topology.max_cycles
+        limit = self.topology.max_cycles
         parts = list(self._parts.values())
         for part in parts:
             part.live = set(range(len(part.masters)))
@@ -566,14 +574,14 @@ class Simulation:
             part.now, part.last = self.now, self.now - 1
             part.seen, part.looks, part.ids = {}, ANCHORS if self.trace is None else 0, 0
         ends = [self._advance(part, limit, settle=True) for part in parts]
-        self.finished = None not in ends
-        stop = max(ends) + 1 if self.finished else limit
+        finished = None not in ends
+        stop = max(ends) + 1 if finished else limit
         for part in parts:
             self._advance(part, stop)
         last = max(part.last for part in parts)
         self.now = last + 1
-        record = self._collect(cycles=last + 1, partial=not self.finished)
-        if not self.finished:
+        record = self._collect(cycles=last + 1, partial=not finished)
+        if not finished:
             raise CycleLimitExceeded([record])
         return record
 
@@ -653,7 +661,7 @@ class Simulation:
         for name, txn in self.transactions():
             per_master[name].record(txn)
         return MetricsRecord(
-            scenario=self.scenario,
+            scenario=self.topology.name,
             masters=per_master,
             seed=self.topology.seed,
             cycles=cycles,
@@ -663,32 +671,15 @@ class Simulation:
     def transactions(self):
         """(master_name, Transaction) for every completed transaction."""
         return [(bus.masters[txn.master_id], txn)
-                for bus in self._bus_list for txn in bus.completed]
+                for bus in self.buses.values() for txn in bus.completed]
 
 
-def build(topology: Topology, trace_enabled: bool = False,
-          disable_injectors: bool = False) -> Simulation:
-    """Instantiate buses and masters; injectors program at their
-    configured cycle once the simulation starts."""
-    sim = Simulation(topology, trace_enabled=trace_enabled)
-    for spec in topology.masters:
-        bus = sim.buses[spec.bus]
-        master_id = bus.add_master(spec.name)
-        if spec.role == "victim":
-            master = Victim(spec.name, spec.victim, bus, master_id)
-            sim.victims.append(master)
-        else:
-            master = InjectorHost(spec.name, spec.injector, bus, master_id, sim.trace,
-                                  enabled=not disable_injectors)
-            sim.hosts.append(master)
-        sim._masters.append(master)
-        sim._parts[spec.bus].masters.append(master)
-    return sim
+def build(topology: Topology, trace_enabled: bool = False) -> Simulation:
+    return Simulation(topology, trace_enabled=trace_enabled)
 
 
-def run(topology: Topology, max_cycles: int | None = None,
-        trace_enabled: bool = False) -> MetricsRecord:
-    return build(topology, trace_enabled=trace_enabled).run(max_cycles)
+def run(topology: Topology, trace_enabled: bool = False) -> MetricsRecord:
+    return build(topology, trace_enabled=trace_enabled).run()
 
 
 @dataclass
@@ -698,9 +689,10 @@ class PairResult:
     slowdown: dict[str, float]
 
 
-def run_pair(topology: Topology, max_cycles: int | None = None,
-             trace_enabled: bool = False) -> PairResult:
-    """Baseline (injectors disabled) then contended run of one topology.
+def run_pair(topology: Topology, trace_enabled: bool = False) -> PairResult:
+    """Baseline then contended run of one topology: the baseline is the
+    topology named "baseline" with every injector disabled, the contended
+    run the topology as it is, named "contended".
 
     Victim slowdown is contended completion over baseline completion and
     is attached to the contended record's victim rows.
@@ -712,14 +704,13 @@ def run_pair(topology: Topology, max_cycles: int | None = None,
     if not injectors:
         raise ConfigError("masters", "a paired run needs at least one injector")
 
-    base_sim = build(topology, trace_enabled=trace_enabled, disable_injectors=True)
-    base_sim.scenario = "baseline"
-    baseline = base_sim.run(max_cycles)
-
-    cont_sim = build(topology, trace_enabled=trace_enabled)
-    cont_sim.scenario = "contended"
+    quiet = tuple(replace(m, injector=replace(m.injector, enabled=False))
+                  if m.injector else m for m in topology.masters)
+    baseline = build(replace(topology, name="baseline", masters=quiet),
+                     trace_enabled=trace_enabled).run()
     try:
-        contended = cont_sim.run(max_cycles)
+        contended = build(replace(topology, name="contended"),
+                          trace_enabled=trace_enabled).run()
     except CycleLimitExceeded as exc:
         exc.records.insert(0, baseline)
         raise

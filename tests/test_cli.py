@@ -1,5 +1,6 @@
 """Command-line behavior: artifacts, exit codes, stream discipline."""
 
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -203,6 +204,24 @@ def test_seed_override_changes_metadata_only(tmp_path, capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("pair", [False, True], ids=["single", "pair"])
+def test_overrides_equal_the_edited_file(tmp_path, capsys, pair):
+    """--max-cycles and --seed replace the file's values: the run is the
+    run of a copy with those values written in."""
+    text = (SAMPLES / "dual_bus.yaml").read_text(encoding="utf-8")
+    edited = text.replace("\nseed: 7\n", "\nseed: 5\n").replace(
+        "\nmax_cycles: 2000000\n", "\nmax_cycles: 137\n")
+    assert edited.count("137") == 1 and edited.count("seed: 5") == 1
+    (tmp_path / "stress.tig").write_bytes((SAMPLES / "stress.tig").read_bytes())
+    copy = tmp_path / "dual_bus.yaml"
+    copy.write_text(edited, encoding="utf-8")
+    flags = ["--pair"] if pair else []
+    code, out, _ = run_cli(capsys, "run", str(SAMPLES / "dual_bus.yaml"),
+                           "--max-cycles", "137", "--seed", "5", *flags)
+    assert (code, out) == run_cli(capsys, "run", str(copy), *flags)[:2]
+    assert code == 3 and ":partial" in out
+
+
 def _injector_config(tmp_path, injector: str):
     cfg = tmp_path / "inj.yaml"
     cfg.write_text(
@@ -344,9 +363,9 @@ def test_trace_at_the_cycle_limit_writes_both_traces(tmp_path, capsys):
                              "--trace-injector", str(injector_path))
     assert code == 3
     assert ":partial" in out and "cycle limit exceeded" in err
-    sim = harness.build(harness.load_topology(SAMPLES / "dual_bus.yaml"),
-                        trace_enabled=True)
+    topo = harness.load_topology(SAMPLES / "dual_bus.yaml")
+    sim = harness.build(dataclasses.replace(topo, max_cycles=137), trace_enabled=True)
     with pytest.raises(harness.CycleLimitExceeded):
-        sim.run(137)
+        sim.run()
     assert bus_path.read_text(encoding="utf-8") == sim.trace.bus_csv()
     assert injector_path.read_text(encoding="utf-8") == sim.trace.injector_csv()

@@ -3,9 +3,11 @@
 import hashlib
 import random
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+import yaml
 
 from scenario_tools import bus_trace_rows
 from tigsim import descriptors as dm
@@ -84,9 +86,12 @@ def test_sample_digests_are_pinned(sample, digest):
 def test_sample_trace_digests_are_pinned(max_cycles, bus_digest, injector_digest):
     """The bytes of both traces of a traced dual_bus.yaml run, to the end
     and cut at a cycle limit."""
-    sim = build(load_topology(SAMPLES / "dual_bus.yaml"), trace_enabled=True)
+    topo = load_topology(SAMPLES / "dual_bus.yaml")
+    if max_cycles is not None:
+        topo = replace(topo, max_cycles=max_cycles)
+    sim = build(topo, trace_enabled=True)
     try:
-        sim.run(max_cycles)
+        sim.run()
     except CycleLimitExceeded:
         assert max_cycles is not None
     assert hashlib.sha256(sim.trace.bus_csv().encode()).hexdigest() == bus_digest
@@ -97,7 +102,22 @@ def test_config_schema_example_loads():
     """The normative example in config-schema.md is accepted as written."""
     doc = (SAMPLES.parent / "config-schema.md").read_text(encoding="utf-8")
     example = doc.split("```yaml\n", 1)[1].split("```", 1)[0]
-    assert load_topology(example, base_dir=SAMPLES).digest() == "cf67475d1483aa7c"
+    raw = yaml.safe_load(example)
+    assert load_topology(raw, base_dir=SAMPLES).digest() == "cf67475d1483aa7c"
+
+
+def test_load_topology_reads_a_path_or_a_mapping(tmp_path):
+    """A one-line flow-style file loads like any other.  YAML text is not
+    a source, with or without a newline: it is an unreadable path."""
+    text = ("{buses: [{name: a, kind: ahb, L: 1}], masters: [{name: v, bus: a, "
+            "role: victim, victim: {period: 1, count: 1, kind: read, address: 0}}]}")
+    cfg = tmp_path / "flow.yaml"
+    cfg.write_text(text, encoding="utf-8")
+    digest = load_topology(yaml.safe_load(text)).digest()
+    assert load_topology(cfg).digest() == load_topology(str(cfg)).digest() == digest
+    for source in (text, text + "\n"):
+        with pytest.raises(ConfigError, match="cannot read"):
+            load_topology(source)
 
 
 def test_unknown_bus_reference_reports_path():
@@ -210,15 +230,11 @@ def test_saturating_injector_delays_victim():
 
 
 def test_cycle_limit_exceeded_with_partial_metrics():
-    topo = shared_bus_topology(injector=loop_injector())
-    import dataclasses
-    topo = dataclasses.replace(
-        topo,
-        masters=(dataclasses.replace(topo.masters[0],
-                                     victim=victim_spec(count=1000)),
-                 topo.masters[1]))
+    topo = shared_bus_topology(injector=loop_injector(), max_cycles=10)
+    topo = replace(topo, masters=(replace(topo.masters[0], victim=victim_spec(count=1000)),
+                                  topo.masters[1]))
     with pytest.raises(CycleLimitExceeded) as excinfo:
-        run(topo, max_cycles=10)
+        run(topo)
     (record,) = excinfo.value.records
     assert record.partial
     assert record.cycles == 10
@@ -261,12 +277,16 @@ def test_run_pair_requires_victim_and_injector():
         run_pair(topo)
 
 
-def test_baseline_identical_to_injector_removed():
-    topo = shared_bus_topology(injector=loop_injector())
-    baseline_sim = build(topo, trace_enabled=True, disable_injectors=True)
-    baseline_sim.run()
-    removed = shared_bus_topology()
-    removed_sim = build(removed, trace_enabled=True)
+def test_baseline_identical_to_injector_removed(monkeypatch):
+    """run_pair's own baseline (the topology it derives, with every
+    injector disabled) traces exactly as the topology without them."""
+    sims = []
+    monkeypatch.setattr(harness, "build",
+                        lambda *a, **kw: sims.append(build(*a, **kw)) or sims[-1])
+    run_pair(shared_bus_topology(injector=loop_injector()), trace_enabled=True)
+    baseline_sim = sims[0]
+    assert baseline_sim.topology.name == "baseline"
+    removed_sim = build(shared_bus_topology(), trace_enabled=True)
     removed_sim.run()
     assert baseline_sim.trace.bus_csv() == removed_sim.trace.bus_csv()
 
@@ -377,10 +397,10 @@ def random_topology(rng: random.Random, pattern_dir: Path) -> dict:
     return {"buses": buses, "masters": victims + injectors, "max_cycles": 3000}
 
 
-def run_record(sim, max_cycles=None):
+def run_record(sim):
     """The record of sim.run(), partial when it hit the cycle limit."""
     try:
-        return sim.run(max_cycles)
+        return sim.run()
     except CycleLimitExceeded as exc:
         return exc.records[0]
 
@@ -459,7 +479,8 @@ def test_methods_wrapped_on_instances_after_build_see_every_call():
     """A profiler may shadow these methods on the built instances; the run
     must look each one up at call time, and every submit must pass through
     its bus's wrapper."""
-    sim = build(load_topology(SAMPLES / "dual_bus.yaml"), trace_enabled=True)
+    topo = replace(load_topology(SAMPLES / "dual_bus.yaml"), max_cycles=5000)
+    sim = build(topo, trace_enabled=True)
     hooks = [(sim, "_next_event")]
     hooks += [(bus, attr) for bus in sim.buses.values()
               for attr in ("begin_cycle", "arbitrate")]
@@ -478,7 +499,7 @@ def test_methods_wrapped_on_instances_after_build_see_every_call():
             return _submit(master_id, *args)
         bus.submit = submit
 
-    record = run_record(sim, max_cycles=5000)
+    record = run_record(sim)
     assert record.partial
     assert all(calls), [f"{type(obj).__name__}.{attr}"
                         for (obj, attr), n in zip(hooks, calls) if not n]
@@ -595,7 +616,7 @@ def test_axi_bus_is_not_visited_while_every_waiting_master_is_capped():
     visits, steps = [], set()
     begin_cycle = bus.begin_cycle
     bus.begin_cycle = lambda now: (visits.append(now), begin_cycle(now))[1]
-    for master in sim._masters:
+    for master in (*sim.victims, *sim.hosts):
         def step(now, _step=master.step):
             steps.add(now)
             _step(now)
@@ -709,9 +730,9 @@ def outcome(sim, record):
              for bus in sim.buses.values() for ch in bus._channels])
 
 
-def run_outcome(topo, traced, max_cycles=None):
+def run_outcome(topo, traced):
     sim = build(topo, trace_enabled=traced)
-    return outcome(sim, run_record(sim, max_cycles))
+    return outcome(sim, run_record(sim))
 
 
 @pytest.mark.parametrize("seed", range(200))
@@ -731,8 +752,8 @@ def test_untraced_run_equals_traced_run_on_random_topology(seed, tmp_path):
 @pytest.mark.parametrize("max_cycles", [137, 5000, 500_000, 1_021_000])
 def test_untraced_dual_bus_run_equals_traced_run(max_cycles):
     """The larger limits land inside periods that an unlimited run skips."""
-    topo = load_topology(SAMPLES / "dual_bus.yaml")
-    assert run_outcome(topo, False, max_cycles) == run_outcome(topo, True, max_cycles)
+    topo = replace(load_topology(SAMPLES / "dual_bus.yaml"), max_cycles=max_cycles)
+    assert run_outcome(topo, False) == run_outcome(topo, True)
 
 
 def test_untraced_run_pair_equals_traced_run_pair(monkeypatch):
