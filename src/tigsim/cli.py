@@ -1,8 +1,9 @@
 """Command-line front end: compile patterns, run campaigns, dump traces.
 
-Exit codes: 0 success, 1 usage error, 2 input/parse/config error,
-3 cycle-limit exceeded (the metrics CSV, scenario column flagged
-``:partial``, and any requested trace are still written).  Diagnostics
+Exit codes: 0 success, 1 usage error, 2 input/parse/config error or an
+output path that cannot be written, 3 cycle-limit exceeded (the metrics
+CSV, scenario column flagged ``:partial``, and any requested trace are
+still written).  Diagnostics
 go to stderr; data artifacts go to the requested file or stdout.
 """
 
@@ -68,18 +69,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _write_text(path: str | None, text: str):
-    if path:
-        Path(path).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+class _CannotWrite(Exception):
+    pass
 
 
-def _write_bytes(path: str | None, blob: bytes):
-    if path:
-        Path(path).write_bytes(blob)
-    else:
-        sys.stdout.buffer.write(blob)
+def _write(path: str | None, data: str | bytes):
+    """Write data to path, or to stdout without one; text as UTF-8."""
+    if not path:
+        (sys.stdout if isinstance(data, str) else sys.stdout.buffer).write(data)
+        return
+    try:
+        Path(path).write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+    except OSError as exc:
+        raise _CannotWrite(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def cmd_compile(args) -> int:
@@ -94,11 +96,11 @@ def cmd_compile(args) -> int:
         print(f"tigsim: {args.pattern}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.format == "bin":
-        _write_bytes(args.out, encode_image(descriptors))
+        _write(args.out, encode_image(descriptors))
     elif args.format == "hex":
-        _write_text(args.out, pattern.render_hex(descriptors))
+        _write(args.out, pattern.render_hex(descriptors))
     else:
-        _write_text(args.out, pattern.render_apb_csv(sequence))
+        _write(args.out, pattern.render_apb_csv(sequence))
     print(f"tigsim: compiled {len(descriptors)} descriptors", file=sys.stderr)
     return EXIT_OK
 
@@ -134,19 +136,21 @@ def cmd_run(args) -> int:
         records, code = exc.records, EXIT_LIMIT
         print("tigsim: cycle limit exceeded; partial output written", file=sys.stderr)
 
-    _write_text(args.out, metrics.emit_csv(records))
+    _write(args.out, metrics.emit_csv(records))
     if args.trace is not None:
-        Path(args.trace).write_text(trace.bus_csv(), encoding="utf-8")
+        _write(args.trace, trace.bus_csv())
     if args.trace_injector is not None:
-        Path(args.trace_injector).write_text(trace.injector_csv(), encoding="utf-8")
+        _write(args.trace_injector, trace.injector_csv())
     return code
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "compile":
-        return cmd_compile(args)
-    return cmd_run(args)
+    try:
+        return cmd_compile(args) if args.command == "compile" else cmd_run(args)
+    except _CannotWrite as exc:
+        print(f"tigsim: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 def entry():

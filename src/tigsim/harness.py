@@ -417,7 +417,6 @@ class InjectorHost:
                  trace: TraceRecorder | None):
         self.name = name
         self.spec = spec
-        self.enabled = spec.enabled
         self.injector = Injector(name, bus=bus, master_id=master_id, trace=trace)
         self.sequence = pat.emit_apb_sequence(list(spec.descriptors), spec.ctrl)
         self.programmed = False
@@ -425,19 +424,11 @@ class InjectorHost:
         self._prog_txn = None
 
     @property
-    def loops(self) -> bool:
-        return "loop" in self.spec.ctrl
-
-    @property
     def terminal(self) -> bool:
         """True when this host can never block run() termination."""
-        if not self.enabled or self.loops:
-            return True
-        return self.injector.done
+        return "loop" in self.spec.ctrl or self.injector.done
 
     def step(self, now: int):
-        if not self.enabled:
-            return
         if not self.programmed and not self._advance_programming(now):
             return
         self.injector.step(now)
@@ -465,8 +456,6 @@ class InjectorHost:
         return True
 
     def next_event(self, now: int) -> int | None:
-        if not self.enabled:
-            return None
         if not self.programmed:
             if now < self.spec.program_at:
                 return self.spec.program_at
@@ -474,7 +463,8 @@ class InjectorHost:
         return self.injector.next_event(now)
 
     def state(self, now: int) -> tuple:
-        return ((self.enabled, self.programmed, self._prog_index, self.injector.state(now)),
+        """Relative state, programming progress included, and descriptors done."""
+        return ((self.programmed, self._prog_index, self.injector.state(now)),
                 self.injector.completed_count)
 
     def shift(self, k: int, completed: int, cycles: int):
@@ -486,7 +476,7 @@ class InjectorHost:
 # ---------------------------------------------------------------------------
 
 class _Partition:
-    """One bus and its masters (indexed by master id), with the heap of
+    """One bus and its built masters (keyed by master id), with the heap of
     (cycle, master id) wakeups, the masters that may still block
     termination, the next and the last cycle visited, the anchors seen, how
     many more to look at and the bus's next id at the last look.  It
@@ -497,7 +487,7 @@ class _Partition:
 
     def __init__(self, bus):
         self.bus = bus
-        self.masters = []
+        self.masters = {}
 
 
 class Simulation:
@@ -519,8 +509,9 @@ class Simulation:
                              trace=self.trace)
             self.buses[spec.name] = bus
         self._parts = {name: _Partition(bus) for name, bus in self.buses.items()}
-        # Masters are registered on their bus in file order; injectors
-        # program at their configured cycle once the run starts.
+        # Masters are registered on their bus in file order, so a disabled
+        # injector keeps its master id; it is not built.  Injectors program
+        # at their configured cycle once the run starts.
         self.victims: list[Victim] = []
         self.hosts: list[InjectorHost] = []
         for spec in topology.masters:
@@ -529,10 +520,12 @@ class Simulation:
             if spec.role == "victim":
                 master = Victim(spec.name, spec.victim, bus, master_id)
                 self.victims.append(master)
-            else:
+            elif spec.injector.enabled:
                 master = InjectorHost(spec.name, spec.injector, bus, master_id, self.trace)
                 self.hosts.append(master)
-            self._parts[spec.bus].masters.append(master)
+            else:
+                continue
+            self._parts[spec.bus].masters[master_id] = master
 
     def injector(self, name: str) -> Injector:
         for host in self.hosts:
@@ -546,7 +539,7 @@ class Simulation:
         """Advance exactly one cycle, stepping every master (run's reference)."""
         for part in self._parts.values():
             part.bus.begin_cycle(self.now)
-            for master in part.masters:
+            for master in part.masters.values():
                 master.step(self.now)
             part.bus.arbitrate(self.now)
         self.now += 1
@@ -569,8 +562,8 @@ class Simulation:
         limit = self.topology.max_cycles
         parts = list(self._parts.values())
         for part in parts:
-            part.live = set(range(len(part.masters)))
-            part.wakeups = [(self.now, i) for i in range(len(part.masters))]
+            part.live = set(part.masters)
+            part.wakeups = [(self.now, i) for i in part.masters]
             part.now, part.last = self.now, self.now - 1
             part.seen, part.looks, part.ids = {}, ANCHORS if self.trace is None else 0, 0
         ends = [self._advance(part, limit, settle=True) for part in parts]
@@ -625,16 +618,15 @@ class Simulation:
     def _fast_forward(self, part: _Partition, stop: int):
         """At an anchor t (a visit with a submit) whose relative state was seen
         at anchor t0, skip as many periods t - t0 as victims and stop allow.
-        While a host is programming, the state cannot repeat: it is not kept."""
-        bus, masters, t = part.bus, part.masters, part.last
-        seen = None
-        if not any(isinstance(m, InjectorHost) and m.enabled and not m.programmed
-                   for m in masters):
-            states = [m.state(t) for m in masters]      # (relative state, progress) each
-            key = (bus.state(t), tuple(sorted(part.live)), tuple(s for s, _ in states),
-                   tuple(sorted({(c - t, i) for c, i in part.wakeups})))
-            seen = part.seen.get(key)
-            part.seen[key] = (t, bus.next_id, len(bus.completed), [p for _, p in states])
+        No key repeats while a host programs: each write it submits raises its
+        write index, and the write it waits on (in the bus state) and its
+        program_at wakeup are held relative to t."""
+        bus, masters, t = part.bus, part.masters.values(), part.last
+        states = [m.state(t) for m in masters]      # (relative state, progress) each
+        key = (bus.state(t), tuple(sorted(part.live)), tuple(s for s, _ in states),
+               tuple(sorted({(c - t, i) for c, i in part.wakeups})))
+        seen = part.seen.get(key)
+        part.seen[key] = (t, bus.next_id, len(bus.completed), [p for _, p in states])
         if seen is None:
             part.looks -= 1
             return
@@ -663,7 +655,6 @@ class Simulation:
         return MetricsRecord(
             scenario=self.topology.name,
             masters=per_master,
-            seed=self.topology.seed,
             cycles=cycles,
             partial=partial,
         )
@@ -678,8 +669,8 @@ def build(topology: Topology, trace_enabled: bool = False) -> Simulation:
     return Simulation(topology, trace_enabled=trace_enabled)
 
 
-def run(topology: Topology, trace_enabled: bool = False) -> MetricsRecord:
-    return build(topology, trace_enabled=trace_enabled).run()
+def run(topology: Topology) -> MetricsRecord:
+    return build(topology).run()
 
 
 @dataclass

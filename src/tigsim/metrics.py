@@ -19,8 +19,6 @@ from .interconnect import BUS_WIDTH_BYTES, Transaction
 CSV_HEADER = ("scenario,master,role,txn_count,bytes,avg_latency,"
               "p50,p95,max_latency,bandwidth,completion_cycle,slowdown")
 
-TXN_CSV_HEADER = "scenario,master,txn_id,kind,address,beats,request,grant,complete"
-
 
 class EmptySamples(ValueError):
     """Percentile of an empty sample series is undefined."""
@@ -105,7 +103,6 @@ class MetricsRecord:
 
     scenario: str
     masters: dict[str, MasterMetrics]
-    seed: int = 0
     cycles: int = 0
     partial: bool = False
 
@@ -148,15 +145,3 @@ def emit_csv(records) -> str:
         ]))
     return "\n".join(lines) + "\n"
 
-
-def emit_transactions_csv(rows) -> str:
-    """Per-transaction dump; rows are (scenario, master, Transaction)."""
-    ordered = sorted(rows, key=lambda r: (r[0], r[1], r[2].txn_id))
-    lines = [TXN_CSV_HEADER]
-    for scenario, master, t in ordered:
-        lines.append(",".join([
-            scenario, master, str(t.txn_id), t.kind, f"{t.address:#010x}",
-            str(t.beats), str(t.request_cycle), _fmt(t.grant_cycle),
-            _fmt(t.complete_cycle),
-        ]))
-    return "\n".join(lines) + "\n"

@@ -1,5 +1,6 @@
 """Command-line behavior: artifacts, exit codes, stream discipline."""
 
+import copy
 import dataclasses
 from pathlib import Path
 
@@ -196,10 +197,11 @@ def test_trace_deterministic_bytes(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_seed_override_changes_metadata_only(tmp_path, capsys):
+def test_seed_override_leaves_the_metrics_unchanged(capsys):
+    """The seed is part of the topology digest; nothing in a run reads it."""
     cfg = SAMPLES / "two_masters_ahb.yaml"
     code1, out1, _ = run_cli(capsys, "run", str(cfg), "--seed", "5")
-    code2, out2, _ = run_cli(capsys, "run", str(cfg), "--seed", "5")
+    code2, out2, _ = run_cli(capsys, "run", str(cfg))
     assert code1 == code2 == 0
     assert out1 == out2
 
@@ -317,14 +319,43 @@ _INJECTOR = {"descriptors": [{"kind": "write", "address": 0}]}
     (lambda raw: raw["masters"][0].update(typo=3), "masters[0].typo"),
     (lambda raw: raw["masters"][0].update(injector=_INJECTOR), "masters[0].injector"),
     (lambda raw: raw["masters"][1].update(victim=_VICTIM), "masters[1].victim"),
+    (lambda raw: raw["buses"][0].update(L=0), "buses[0].L"),
+    (lambda raw: raw["buses"][0].update(L="x"), "buses[0].L"),
+    (lambda raw: raw["buses"][0].update(L=True), "buses[0].L"),
+    (lambda raw: raw["buses"][0].update(O=2), "buses[0].O"),
+    (lambda raw: raw["buses"].append(dict(raw["buses"][0])), "buses"),
+    (lambda raw: raw["masters"][0].update(
+        victim={k: v for k, v in _VICTIM.items() if k != "count"}),
+     "masters[0].victim.count"),
+    (lambda raw: raw["masters"][0]["victim"].update(address=2**33),
+     "masters[0].victim.address"),
+    (lambda raw: raw["masters"][0].update(victim=[_VICTIM]), "masters[0].victim"),
+    (lambda raw: raw["masters"][1]["injector"].update(descriptors=[]),
+     "masters[1].injector.descriptors"),
+    (lambda raw: raw["masters"][1]["injector"].update(descriptors=[5]),
+     "masters[1].injector.descriptors[0]"),
+    (lambda raw: raw["masters"][1]["injector"].update(pattern="p.tig"),
+     "masters[1].injector"),
+    (lambda raw: raw["masters"][1].update(injector={"pattern": "missing.tig"}),
+     "masters[1].injector.pattern"),
+    (lambda raw: raw["masters"][1].update(injector={"descriptors": [{"address": 0}]}),
+     "masters[1].injector.descriptors[0].kind"),
+    (lambda raw: raw["masters"][1]["injector"].update(ctrl="loop"),
+     "masters[1].injector.ctrl"),
+    (lambda raw: [raw], "<config>"),
 ], ids=["top-level-unknown", "master-unknown", "injector-on-victim",
-        "victim-on-injector"])
+        "victim-on-injector", "L-zero", "L-string", "L-bool", "O-on-ahb",
+        "duplicate-bus", "victim-count-missing", "victim-address-range",
+        "victim-list", "descriptors-empty", "descriptor-not-mapping",
+        "pattern-and-descriptors", "pattern-missing", "descriptor-kind-missing",
+        "ctrl-string", "top-level-list"])
 def test_run_unknown_or_other_role_key_exits_2(tmp_path, capsys, edit, path):
-    raw = {"buses": [{"name": "a", "kind": "ahb", "L": 1}],
-           "masters": [{"name": "v", "bus": "a", "role": "victim", "victim": _VICTIM},
-                       {"name": "inj", "bus": "a", "role": "injector",
-                        "injector": _INJECTOR}]}
-    edit(raw)
+    raw = copy.deepcopy(
+        {"buses": [{"name": "a", "kind": "ahb", "L": 1}],
+         "masters": [{"name": "v", "bus": "a", "role": "victim", "victim": _VICTIM},
+                     {"name": "inj", "bus": "a", "role": "injector",
+                      "injector": _INJECTOR}]})
+    raw = edit(raw) or raw
     cfg = tmp_path / "keys.yaml"
     cfg.write_text(yaml.safe_dump(raw), encoding="utf-8")
     code, out, err = run_cli(capsys, "run", str(cfg))
@@ -332,6 +363,22 @@ def test_run_unknown_or_other_role_key_exits_2(tmp_path, capsys, edit, path):
     assert f": {path}:" in err
     assert "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("flag", ["-o", "--trace", "--trace-injector", "compile -o"])
+@pytest.mark.parametrize("target,reason", [
+    ("missing/out.csv", "No such file or directory"),
+    (".", "Is a directory"),
+], ids=["no-parent", "directory"])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, flag, target, reason):
+    path = tmp_path / target
+    if flag == "compile -o":
+        argv = ["compile", str(SAMPLES / "basic.tig"), "-o", str(path)]
+    else:
+        argv = ["run", str(SAMPLES / "two_masters_ahb.yaml"), flag, str(path)]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err == f"tigsim: cannot write {path}: {reason}\n"
 
 
 def test_run_trace_injector_writes_the_injector_trace(tmp_path, capsys):

@@ -27,7 +27,7 @@ from tigsim.harness import (
 )
 from tigsim.injector import ERRINFO_OFFSET, STATUS_OFFSET
 from tigsim.interconnect import _Bus
-from tigsim.metrics import emit_csv, emit_transactions_csv
+from tigsim.metrics import emit_csv
 
 SAMPLES = Path(__file__).parent.parent / "samples"
 
@@ -303,18 +303,6 @@ def test_txn_counts_sum_to_bus_completions():
     rec = sim.run()
     total = sum(len(b.completed) for b in sim.buses.values())
     assert sum(m.txn_count for m in rec.masters.values()) == total
-
-
-def test_transaction_dump_from_run():
-    from tigsim.metrics import emit_transactions_csv
-    sim = build(shared_bus_topology(injector=loop_injector()))
-    rec = sim.run()
-    csv = emit_transactions_csv(
-        (rec.scenario, master, txn) for master, txn in sim.transactions())
-    lines = csv.splitlines()
-    assert len(lines) - 1 == sum(m.txn_count for m in rec.masters.values())
-    assert lines[0].startswith("scenario,master,txn_id")
-    assert any(",core0," in l and ",read," in l for l in lines[1:])
 
 
 def test_run_determinism():
@@ -597,6 +585,20 @@ def test_a_bus_without_traffic_is_not_stepped_at_other_buses_events():
     assert visits["ahb0"] > 20
 
 
+def test_a_disabled_injector_is_not_built_but_keeps_its_master_id():
+    topo = Topology(
+        buses=(BusSpec("ahb0", "ahb", 2),),
+        masters=(MasterSpec("off", "ahb0", "injector", injector=loop_injector(enabled=False)),
+                 MasterSpec("core0", "ahb0", "victim", victim=victim_spec())),
+    )
+    sim = build(topo, trace_enabled=True)
+    record = sim.run()
+    assert sim.hosts == [] and sim.buses["ahb0"].masters == ["off", "core0"]
+    assert record.masters["off"].txn_count == 0
+    assert record.masters["core0"].txn_count == 10
+    assert {row.split(",")[3] for row in sim.trace.bus_csv().splitlines()[1:]} == {"1"}
+
+
 def test_axi_bus_is_not_visited_while_every_waiting_master_is_capped():
     """Every cycle the scheduler visits on a saturated O=1 AXI bus retires,
     grants or steps a master."""
@@ -717,12 +719,13 @@ def test_run_pair_contended_limit_keeps_both_records():
 # ---------------------------------------------------------------------------
 
 def outcome(sim, record):
-    """Everything a run shows: the metrics and transaction CSVs, where it
-    stopped, each injector's STATUS and ERRINFO, and the transactions
-    still queued or granted."""
+    """Everything a run shows: the metrics CSV, every completed transaction,
+    where it stopped, each injector's STATUS and ERRINFO, and the
+    transactions still queued or granted."""
     return (emit_csv([record]),
-            emit_transactions_csv((record.scenario, name, txn)
-                                  for name, txn in sim.transactions()),
+            sorted((name, t.txn_id, t.kind, t.address, t.beats,
+                    t.request_cycle, t.grant_cycle, t.complete_cycle)
+                   for name, t in sim.transactions()),
             sim.now, record.partial,
             [(h.injector.apb_read(STATUS_OFFSET), h.injector.apb_read(ERRINFO_OFFSET))
              for h in sim.hosts],
@@ -747,6 +750,27 @@ def test_untraced_run_equals_traced_run_on_random_topology(seed, tmp_path):
     raw["max_cycles"] = rng.choice((5000, 40000))
     topo = load_topology(raw, base_dir=tmp_path)
     assert run_outcome(topo, traced=False) == run_outcome(topo, traced=True)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_untraced_run_equals_traced_run_with_disabled_injectors(seed, tmp_path):
+    """About 40% of the injectors are disabled: they are not built, so a
+    partition's master ids have gaps, and they report no transactions."""
+    rng = random.Random(seed)
+    raw = random_topology(rng, tmp_path)
+    for master in raw["masters"]:
+        if master["role"] == "victim":
+            master["victim"]["count"] = rng.randint(20, 400)
+        elif rng.random() < 0.4:
+            master["injector"]["enabled"] = False
+    raw["max_cycles"] = rng.choice((5000, 40000))
+    topo = load_topology(raw, base_dir=tmp_path)
+    off = {m.name for m in topo.masters if m.injector and not m.injector.enabled}
+    sim = build(topo)
+    record = run_record(sim)
+    assert off.isdisjoint(host.name for host in sim.hosts)
+    assert all(record.masters[name].txn_count == 0 for name in off)
+    assert outcome(sim, record) == run_outcome(topo, traced=True)
 
 
 @pytest.mark.parametrize("max_cycles", [137, 5000, 500_000, 1_021_000])

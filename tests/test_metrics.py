@@ -12,7 +12,6 @@ from tigsim.metrics import (
     MasterMetrics,
     MetricsRecord,
     emit_csv,
-    emit_transactions_csv,
     percentile,
 )
 
@@ -135,9 +134,3 @@ def test_partial_flag_in_scenario_column():
                         partial=True)
     assert emit_csv([rec]).splitlines()[1].startswith("run:partial,m0,")
 
-
-def test_transaction_dump_columns():
-    out = emit_transactions_csv([("run", "m0", txn(3, 1, 5, beats=2))])
-    assert out.splitlines()[0] == ("scenario,master,txn_id,kind,address,"
-                                   "beats,request,grant,complete")
-    assert out.splitlines()[1] == "run,m0,3,read,0x00001000,2,1,1,5"

@@ -66,6 +66,16 @@ def test_parse_range_errors(src, field):
     assert excinfo.value.line == 1
 
 
+@pytest.mark.parametrize("src,message", [
+    ("read 0x10\ndelay", "missing cycle count"),
+    ("read 0x10\ndelay 5 6", "unexpected token '6'"),
+])
+def test_parse_delay_syntax_errors(src, message):
+    with pytest.raises(pat.PatternSyntaxError) as excinfo:
+        pat.parse(src)
+    assert (excinfo.value.line, excinfo.value.message) == (2, message)
+
+
 def test_parse_rejects_reordered_params():
     with pytest.raises(pat.PatternSyntaxError):
         pat.parse("read 0x10 reps=2 size=8")
