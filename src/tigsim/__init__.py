@@ -25,7 +25,7 @@ from .harness import (
 )
 from .injector import CapacityExceeded, Injector, OffsetOutOfRange
 from .interconnect import AhbBus, AxiBus, TargetModel, Transaction, beats_for
-from .metrics import MetricsRecord, emit_csv, percentile
+from .metrics import MetricsRecord, emit_csv
 from .pattern import PatternRangeError, PatternSyntaxError, parse
 
 __version__ = "0.1.0"

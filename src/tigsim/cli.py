@@ -1,10 +1,11 @@
-"""Command-line front end: compile patterns, run campaigns, dump traces.
+"""Command-line front end: ``compile`` a pattern into a buffer image, or
+``run`` a topology (alone, with traces on request, or as a ``--pair``).
 
 Exit codes: 0 success, 1 usage error, 2 input/parse/config error or an
 output path that cannot be written, 3 cycle-limit exceeded (the metrics
 CSV, scenario column flagged ``:partial``, and any requested trace are
-still written).  Diagnostics
-go to stderr; data artifacts go to the requested file or stdout.
+still written).  Diagnostics go to stderr; data artifacts go to the
+requested file or stdout.
 """
 
 from __future__ import annotations
@@ -30,15 +31,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _int_at_least(minimum: int):
-    """argparse type for an override the loader bounds the same way."""
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
-        return value
-    parse.__name__ = "int"  # argparse words a ValueError as "invalid int value"
-    return parse
+def _max_cycles(text: str) -> int:
+    """argparse type for --max-cycles, bounded as the loader bounds max_cycles."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+_max_cycles.__name__ = "int"  # argparse words a ValueError as "invalid int value"
 
 
 def _build_parser() -> _Parser:
@@ -52,19 +53,15 @@ def _build_parser() -> _Parser:
                            default="hex", help="output artifact (default: hex)")
     p_compile.add_argument("--out", "-o", help="output path (default: stdout)")
 
-    for name, brief in (("run", "run a topology and report metrics"),
-                        ("trace", "run a topology and dump the bus event trace")):
-        p = sub.add_parser(name, help=brief)
-        p.add_argument("config", help="topology YAML file")
-        p.add_argument("--out", "-o", help="metrics CSV path (default: stdout)")
-        p.add_argument("--max-cycles", type=_int_at_least(1),
+    p_run = sub.add_parser("run", help="run a topology and report metrics")
+    p_run.add_argument("config", help="topology YAML file")
+    p_run.add_argument("--out", "-o", help="metrics CSV path (default: stdout)")
+    p_run.add_argument("--max-cycles", type=_max_cycles,
                        help="replace the config's max_cycles")
-        p.add_argument("--pair", action="store_true",
+    p_run.add_argument("--pair", action="store_true",
                        help="run baseline (injectors disabled) and contended")
-        p.add_argument("--seed", type=_int_at_least(0), help="replace the config's seed")
-        p.add_argument("--trace", required=name == "trace",
-                       help="bus event trace CSV path")
-        p.add_argument("--trace-injector", metavar="PATH",
+    p_run.add_argument("--trace", help="bus event trace CSV path")
+    p_run.add_argument("--trace-injector", metavar="PATH",
                        help="injector event trace CSV path")
     return parser
 
@@ -114,17 +111,15 @@ def cmd_run(args) -> int:
             return EXIT_USAGE
     code = EXIT_OK
     try:
-        overrides = {"seed": args.seed, "max_cycles": args.max_cycles}
-        topology = dataclasses.replace(
-            harness.load_topology(args.config),
-            **{key: value for key, value in overrides.items() if value is not None})
+        topology = harness.load_topology(args.config)
+        if args.max_cycles is not None:
+            topology = dataclasses.replace(topology, max_cycles=args.max_cycles)
         if args.pair:
             result = harness.run_pair(topology)
             records = [result.baseline, result.contended]
         else:
             trace_enabled = any(path is not None for path in traces.values())
             sim = harness.build(topology, trace_enabled=trace_enabled)
-            trace = sim.trace
             records = [sim.run()]
     except harness.ConfigError as exc:
         # An unreadable or unparsable file is already named by its path.
@@ -138,9 +133,9 @@ def cmd_run(args) -> int:
 
     _write(args.out, metrics.emit_csv(records))
     if args.trace is not None:
-        _write(args.trace, trace.bus_csv())
+        _write(args.trace, sim.trace.bus_csv())
     if args.trace_injector is not None:
-        _write(args.trace_injector, trace.injector_csv())
+        _write(args.trace_injector, sim.trace.injector_csv())
     return code
 
 

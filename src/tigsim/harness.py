@@ -30,9 +30,9 @@ topology in, identical metrics and trace bytes out.
 A ``Topology`` is the whole configuration of a run, its name (the
 scenario label of the record), seed and cycle cap included; ``build``
 takes nothing else but whether to trace.  ``run_pair`` derives its two
-runs from one topology: the baseline with every injector disabled and
-the contended run as given.  Topology files are YAML; the schema is
-documented in config-schema.md.
+untraced runs from one topology: the baseline with every injector
+disabled and the contended run as given.  Topology files are YAML; the
+schema is documented in config-schema.md.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
-        self.message = message
 
 
 class CycleLimitExceeded(RuntimeError):
@@ -129,11 +128,8 @@ class Topology:
     seed: int = 0
     max_cycles: int = DEFAULT_MAX_CYCLES
 
-    def canonical(self) -> dict:
-        return asdict(self, dict_factory=_kinds_by_name)
-
     def digest(self) -> str:
-        blob = json.dumps(self.canonical(), sort_keys=True).encode()
+        blob = json.dumps(asdict(self, dict_factory=_kinds_by_name), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -300,10 +296,10 @@ def _load_master(raw, path, bus_names: tuple, base_dir: Path) -> MasterSpec:
     return MasterSpec(name, bus, role, injector=injector)
 
 
-def load_topology(source, base_dir: Path | None = None) -> Topology:
+def load_topology(source) -> Topology:
     """Load a topology from a YAML file path, or from the mapping such a
-    file parses to.  Pattern paths resolve against base_dir, by default
-    the file's directory (the working directory for a mapping)."""
+    file parses to.  Relative pattern paths resolve against the file's
+    directory, or the working directory for a mapping."""
     if isinstance(source, (str, Path)):
         path = Path(source)
         try:
@@ -314,9 +310,9 @@ def load_topology(source, base_dir: Path | None = None) -> Topology:
             raise ConfigError(str(source), f"cannot read: {exc}") from exc
         except yaml.YAMLError as exc:
             raise ConfigError(str(source), f"invalid YAML: {exc}") from exc
-        base = base_dir or path.parent
+        base = path.parent
     else:
-        raw, base = source, base_dir or Path.cwd()
+        raw, base = source, Path.cwd()
 
     values = _mapping(raw, "", Topology)
     buses_raw = values.get("buses")
@@ -680,7 +676,7 @@ class PairResult:
     slowdown: dict[str, float]
 
 
-def run_pair(topology: Topology, trace_enabled: bool = False) -> PairResult:
+def run_pair(topology: Topology) -> PairResult:
     """Baseline then contended run of one topology: the baseline is the
     topology named "baseline" with every injector disabled, the contended
     run the topology as it is, named "contended".
@@ -697,11 +693,9 @@ def run_pair(topology: Topology, trace_enabled: bool = False) -> PairResult:
 
     quiet = tuple(replace(m, injector=replace(m.injector, enabled=False))
                   if m.injector else m for m in topology.masters)
-    baseline = build(replace(topology, name="baseline", masters=quiet),
-                     trace_enabled=trace_enabled).run()
+    baseline = build(replace(topology, name="baseline", masters=quiet)).run()
     try:
-        contended = build(replace(topology, name="contended"),
-                          trace_enabled=trace_enabled).run()
+        contended = build(replace(topology, name="contended")).run()
     except CycleLimitExceeded as exc:
         exc.records.insert(0, baseline)
         raise

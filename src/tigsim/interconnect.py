@@ -227,7 +227,7 @@ class _Bus:
         for j in range(1, k + 1):
             dt = j * cycles
             for t in period:
-                request = t.request_cycle + dt
+                request = t.request_cycle + dt    # one int object for a same-cycle grant
                 grant = request if t.grant_cycle == t.request_cycle else t.grant_cycle + dt
                 self.completed.append(Transaction(
                     t.txn_id + j * ids, t.master_id, t.kind, t.address, t.beats,

@@ -11,27 +11,12 @@ different cycles remain comparable.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .interconnect import BUS_WIDTH_BYTES, Transaction
 
 CSV_HEADER = ("scenario,master,role,txn_count,bytes,avg_latency,"
               "p50,p95,max_latency,bandwidth,completion_cycle,slowdown")
-
-
-class EmptySamples(ValueError):
-    """Percentile of an empty sample series is undefined."""
-
-
-def percentile(samples, q) -> int:
-    """Nearest-rank percentile; q in [0, 100], samples non-empty."""
-    counts = Counter(samples)
-    if not counts:
-        raise EmptySamples("no samples")
-    if not 0 <= q <= 100:
-        raise ValueError(f"q must lie in [0, 100], got {q}")
-    return _nearest_rank(counts, counts.total(), q)
 
 
 def _nearest_rank(counts: dict[int, int], n: int, q) -> int | None:

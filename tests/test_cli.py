@@ -156,10 +156,26 @@ def test_missing_subcommand_exits_1(capsys):
     assert excinfo.value.code == 1
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["trace", str(SAMPLES / "two_masters_ahb.yaml")], "invalid choice: 'trace'"),
+    (["run", str(SAMPLES / "two_masters_ahb.yaml"), "--seed", "5"],
+     "unrecognized arguments: --seed 5"),
+    (["run", str(SAMPLES / "two_masters_ahb.yaml"), "--max-cycles", "x"],
+     "argument --max-cycles: invalid int value: 'x'"),
+], ids=["trace-subcommand", "seed-flag", "max-cycles-not-int"])
+def test_removed_or_malformed_run_options_exit_1(capsys, argv, message):
+    """Tracing is a flag of run, and a topology's seed is set in its file."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("option,value,bound", [
     ("--max-cycles", "-3", ">= 1"),
-    ("--seed", "-1", ">= 0"),
-], ids=["max-cycles", "seed"])
+], ids=["max-cycles"])
 def test_override_below_loader_bound_exits_1(capsys, option, value, bound):
     with pytest.raises(SystemExit) as excinfo:
         main(["run", str(SAMPLES / "two_masters_ahb.yaml"), option, value])
@@ -181,7 +197,7 @@ def test_run_malformed_yaml_exits_2_naming_file_once(tmp_path, capsys):
 
 def test_trace_contains_grant_rows_at_0_and_3(tmp_path, capsys):
     trace_path = tmp_path / "trace.csv"
-    code, out, _ = run_cli(capsys, "trace", str(SAMPLES / "two_masters_ahb.yaml"),
+    code, out, _ = run_cli(capsys, "run", str(SAMPLES / "two_masters_ahb.yaml"),
                            "--trace", str(trace_path))
     assert code == 0
     rows = trace_path.read_text(encoding="utf-8").splitlines()
@@ -192,34 +208,24 @@ def test_trace_contains_grant_rows_at_0_and_3(tmp_path, capsys):
 
 def test_trace_deterministic_bytes(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    run_cli(capsys, "trace", str(SAMPLES / "two_masters_ahb.yaml"), "--trace", str(a))
-    run_cli(capsys, "trace", str(SAMPLES / "two_masters_ahb.yaml"), "--trace", str(b))
+    run_cli(capsys, "run", str(SAMPLES / "two_masters_ahb.yaml"), "--trace", str(a))
+    run_cli(capsys, "run", str(SAMPLES / "two_masters_ahb.yaml"), "--trace", str(b))
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_seed_override_leaves_the_metrics_unchanged(capsys):
-    """The seed is part of the topology digest; nothing in a run reads it."""
-    cfg = SAMPLES / "two_masters_ahb.yaml"
-    code1, out1, _ = run_cli(capsys, "run", str(cfg), "--seed", "5")
-    code2, out2, _ = run_cli(capsys, "run", str(cfg))
-    assert code1 == code2 == 0
-    assert out1 == out2
 
 
 @pytest.mark.parametrize("pair", [False, True], ids=["single", "pair"])
 def test_overrides_equal_the_edited_file(tmp_path, capsys, pair):
-    """--max-cycles and --seed replace the file's values: the run is the
-    run of a copy with those values written in."""
+    """--max-cycles replaces the file's value: the run is the run of a
+    copy with that value written in."""
     text = (SAMPLES / "dual_bus.yaml").read_text(encoding="utf-8")
-    edited = text.replace("\nseed: 7\n", "\nseed: 5\n").replace(
-        "\nmax_cycles: 2000000\n", "\nmax_cycles: 137\n")
-    assert edited.count("137") == 1 and edited.count("seed: 5") == 1
+    edited = text.replace("\nmax_cycles: 2000000\n", "\nmax_cycles: 137\n")
+    assert edited.count("137") == 1
     (tmp_path / "stress.tig").write_bytes((SAMPLES / "stress.tig").read_bytes())
     copy = tmp_path / "dual_bus.yaml"
     copy.write_text(edited, encoding="utf-8")
     flags = ["--pair"] if pair else []
     code, out, _ = run_cli(capsys, "run", str(SAMPLES / "dual_bus.yaml"),
-                           "--max-cycles", "137", "--seed", "5", *flags)
+                           "--max-cycles", "137", *flags)
     assert (code, out) == run_cli(capsys, "run", str(copy), *flags)[:2]
     assert code == 3 and ":partial" in out
 
@@ -405,7 +411,7 @@ def test_trace_injector_with_pair_exits_1(tmp_path, capsys):
 
 def test_trace_at_the_cycle_limit_writes_both_traces(tmp_path, capsys):
     bus_path, injector_path = tmp_path / "t.csv", tmp_path / "i.csv"
-    code, out, err = run_cli(capsys, "trace", str(SAMPLES / "dual_bus.yaml"),
+    code, out, err = run_cli(capsys, "run", str(SAMPLES / "dual_bus.yaml"),
                              "--max-cycles", "137", "--trace", str(bus_path),
                              "--trace-injector", str(injector_path))
     assert code == 3

@@ -98,12 +98,14 @@ def test_sample_trace_digests_are_pinned(max_cycles, bus_digest, injector_digest
     assert hashlib.sha256(sim.trace.injector_csv().encode()).hexdigest() == injector_digest
 
 
-def test_config_schema_example_loads():
-    """The normative example in config-schema.md is accepted as written."""
+def test_config_schema_example_loads(monkeypatch):
+    """The normative example in config-schema.md is accepted as written;
+    its pattern path is relative, so a mapping resolves it from samples/."""
     doc = (SAMPLES.parent / "config-schema.md").read_text(encoding="utf-8")
     example = doc.split("```yaml\n", 1)[1].split("```", 1)[0]
     raw = yaml.safe_load(example)
-    assert load_topology(raw, base_dir=SAMPLES).digest() == "cf67475d1483aa7c"
+    monkeypatch.chdir(SAMPLES)
+    assert load_topology(raw).digest() == "cf67475d1483aa7c"
 
 
 def test_load_topology_reads_a_path_or_a_mapping(tmp_path):
@@ -281,9 +283,9 @@ def test_baseline_identical_to_injector_removed(monkeypatch):
     """run_pair's own baseline (the topology it derives, with every
     injector disabled) traces exactly as the topology without them."""
     sims = []
-    monkeypatch.setattr(harness, "build",
-                        lambda *a, **kw: sims.append(build(*a, **kw)) or sims[-1])
-    run_pair(shared_bus_topology(injector=loop_injector()), trace_enabled=True)
+    monkeypatch.setattr(harness, "build", lambda topology: sims.append(
+        build(topology, trace_enabled=True)) or sims[-1])
+    run_pair(shared_bus_topology(injector=loop_injector()))
     baseline_sim = sims[0]
     assert baseline_sim.topology.name == "baseline"
     removed_sim = build(shared_bus_topology(), trace_enabled=True)
@@ -348,10 +350,10 @@ def tig_source(program: list[dict]) -> str:
 
 def random_topology(rng: random.Random, pattern_dir: Path) -> dict:
     """A topology mapping: 1-3 mixed AHB/AXI buses, victims, and injectors
-    with random programs (inline, or .tig files written to pattern_dir),
-    modes and programming paths.  About a quarter of the seeds crowd up
-    to 12 masters onto one bus.  Victims come first, so fixed priority
-    cannot starve them."""
+    with random programs (inline, or .tig files written to pattern_dir and
+    named by absolute path), modes and programming paths.  About a quarter
+    of the seeds crowd up to 12 masters onto one bus.  Victims come first,
+    so fixed priority cannot starve them."""
     crowded = rng.random() < 0.25
     buses = []
     for b in range(1 if crowded else rng.randint(1, 3)):
@@ -377,7 +379,7 @@ def random_topology(rng: random.Random, pattern_dir: Path) -> dict:
                     "program_via": rng.choice(("apb", "data_bus"))}
         if dsl:
             (pattern_dir / f"inj{i}.tig").write_text(tig_source(program), encoding="utf-8")
-            injector["pattern"] = f"inj{i}.tig"
+            injector["pattern"] = str(pattern_dir / f"inj{i}.tig")
         else:
             injector["descriptors"] = program
         injectors.append({"name": f"inj{i}", "bus": rng.choice(buses)["name"],
@@ -411,8 +413,7 @@ def run_equals_step_cycle(topo):
 
 @pytest.mark.parametrize("seed", range(60))
 def test_run_equals_step_cycle_on_random_topology(seed, tmp_path):
-    topo = load_topology(random_topology(random.Random(seed), tmp_path),
-                         base_dir=tmp_path)
+    topo = load_topology(random_topology(random.Random(seed), tmp_path))
     run_equals_step_cycle(topo)
 
 
@@ -420,8 +421,7 @@ def test_run_equals_step_cycle_on_random_topology(seed, tmp_path):
 def test_conservation_on_random_topology(seed, tmp_path):
     """Nothing a master submits is lost, duplicated or mis-sized, in a
     traced run and in an untraced one, which may skip repeating periods."""
-    topo = load_topology(random_topology(random.Random(seed), tmp_path),
-                         base_dir=tmp_path)
+    topo = load_topology(random_topology(random.Random(seed), tmp_path))
     for traced in (True, False):
         sim = build(topo, trace_enabled=traced)
         submitted = {bus.name: [] for bus in sim.buses.values()}
@@ -748,7 +748,7 @@ def test_untraced_run_equals_traced_run_on_random_topology(seed, tmp_path):
         if master["role"] == "victim":
             master["victim"]["count"] = rng.randint(20, 400)
     raw["max_cycles"] = rng.choice((5000, 40000))
-    topo = load_topology(raw, base_dir=tmp_path)
+    topo = load_topology(raw)
     assert run_outcome(topo, traced=False) == run_outcome(topo, traced=True)
 
 
@@ -764,13 +764,42 @@ def test_untraced_run_equals_traced_run_with_disabled_injectors(seed, tmp_path):
         elif rng.random() < 0.4:
             master["injector"]["enabled"] = False
     raw["max_cycles"] = rng.choice((5000, 40000))
-    topo = load_topology(raw, base_dir=tmp_path)
+    topo = load_topology(raw)
     off = {m.name for m in topo.masters if m.injector and not m.injector.enabled}
     sim = build(topo)
     record = run_record(sim)
     assert off.isdisjoint(host.name for host in sim.hosts)
     assert all(record.masters[name].txn_count == 0 for name in off)
     assert outcome(sim, record) == run_outcome(topo, traced=True)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_untraced_run_equals_traced_run_with_long_programs(seed, tmp_path):
+    """The first injector (one is added if the topology has none) loops a
+    40-100 entry inline program, programmed over either path: its periods
+    can run to hundreds of submits.  The draws follow random_topology's, so the
+    other tests' topologies do not change."""
+    rng = random.Random(seed)
+    raw = random_topology(rng, tmp_path)
+    for master in raw["masters"]:
+        if master["role"] == "victim":
+            master["victim"]["count"] = rng.randint(20, 400)
+    raw["max_cycles"] = rng.choice((5000, 40000))
+    size = rng.randint(40, 100)
+    program = []
+    while len(program) < size:
+        program += random_program(rng, dsl=False)
+    injector = {"descriptors": program[:size],
+                "ctrl": ["loop", "pipe"] if rng.random() < 0.5 else ["loop"],
+                "program_via": rng.choice(("apb", "data_bus"))}
+    first = next((m for m in raw["masters"] if m["role"] == "injector"), None)
+    if first is None:
+        raw["masters"].append({"name": "inj_long", "bus": rng.choice(raw["buses"])["name"],
+                               "role": "injector", "injector": injector})
+    else:
+        first["injector"] = injector
+    topo = load_topology(raw)
+    assert run_outcome(topo, traced=False) == run_outcome(topo, traced=True)
 
 
 @pytest.mark.parametrize("max_cycles", [137, 5000, 500_000, 1_021_000])
@@ -785,9 +814,9 @@ def test_untraced_run_pair_equals_traced_run_pair(monkeypatch):
     outcomes = []
     for traced in (False, True):
         sims = []
-        monkeypatch.setattr(harness, "build",
-                            lambda *a, **kw: sims.append(build(*a, **kw)) or sims[-1])
-        pair = run_pair(topo, trace_enabled=traced)
+        monkeypatch.setattr(harness, "build", lambda topology: sims.append(
+            build(topology, trace_enabled=traced)) or sims[-1])
+        pair = run_pair(topo)
         outcomes.append((pair.slowdown, outcome(sims[0], pair.baseline),
                          outcome(sims[1], pair.contended)))
     assert outcomes[0] == outcomes[1]

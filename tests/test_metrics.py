@@ -8,11 +8,9 @@ from hypothesis import given, strategies as st
 from tigsim.interconnect import Transaction
 from tigsim.metrics import (
     CSV_HEADER,
-    EmptySamples,
     MasterMetrics,
     MetricsRecord,
     emit_csv,
-    percentile,
 )
 
 
@@ -21,49 +19,33 @@ def txn(txn_id, request, complete, beats=1, master=0, kind="read"):
                        grant_cycle=request, complete_cycle=complete, done=True)
 
 
+def with_latencies(latencies) -> MasterMetrics:
+    m = MasterMetrics("m0", "victim")
+    for i, latency in enumerate(latencies):
+        m.record(txn(i, 1000 + i, 1000 + i + latency))
+    return m
+
+
 def test_percentile_nearest_rank_examples():
-    assert percentile([3, 6], 50) == 3
-    assert percentile([3, 6], 95) == 6
-    assert percentile([5], 0) == 5
-    assert percentile([5], 100) == 5
+    m = with_latencies([3, 6])
+    assert (m.p50, m.p95) == (3, 6)
+    m = with_latencies([5])
+    assert (m.p50, m.p95) == (5, 5)
 
 
 def test_percentile_constant_series():
-    for q in (0, 1, 50, 95, 99, 100):
-        assert percentile([7, 7, 7, 7], q) == 7
-
-
-def test_percentile_empty_and_bad_q():
-    with pytest.raises(EmptySamples):
-        percentile([], 50)
-    with pytest.raises(ValueError):
-        percentile([1], 101)
-
-
-@given(st.lists(st.integers(0, 10**6), min_size=1, max_size=60))
-def test_percentile_bounds_and_monotonicity(samples):
-    assert percentile(samples, 0) == min(samples)
-    assert percentile(samples, 100) == max(samples)
-    values = [percentile(samples, q) for q in range(0, 101, 5)]
-    assert values == sorted(values)
-    assert all(v in samples for v in values)
-
-
-@given(st.lists(st.integers(0, 300), min_size=1, max_size=200), st.integers(0, 100))
-def test_percentile_equals_the_sorted_list_rank(samples, q):
-    """The histogram walk picks the nearest-rank element of the sorted samples."""
-    rank = max(math.ceil(q / 100 * len(samples)), 1)
-    assert percentile(samples, q) == sorted(samples)[rank - 1]
+    m = with_latencies([7, 7, 7, 7])
+    assert (m.p50, m.p95) == (7, 7)
 
 
 @given(st.lists(st.integers(0, 300), min_size=1, max_size=200))
 def test_histogram_stats_equal_the_sample_stats(samples):
-    """The latency histogram gives what the sorted samples give."""
-    m = MasterMetrics("m0", "victim")
-    for i, latency in enumerate(samples):
-        m.record(txn(i, 1000 + i, 1000 + i + latency))
-    assert m.p50 == percentile(samples, 50)
-    assert m.p95 == percentile(samples, 95)
+    """The latency histogram gives what the sorted samples give: p50 and p95
+    are the elements at nearest rank ceil(q/100 * n) of the sorted list."""
+    m = with_latencies(samples)
+    ranked = sorted(samples)
+    for q, value in ((50, m.p50), (95, m.p95)):
+        assert value == ranked[max(math.ceil(q / 100 * len(samples)), 1) - 1]
     assert m.max_latency == max(samples)
     assert m.avg_latency == sum(samples) / len(samples)
 
