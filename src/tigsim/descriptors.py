@@ -25,6 +25,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 WORD_MASK = 0xFFFFFFFF
 SIZE_MIN, SIZE_MAX = 1, 8192
@@ -113,54 +114,39 @@ class Descriptor:
                    delay_cycles=cycles)
 
 
-@dataclass(frozen=True)
-class DescriptorWords:
-    """The packed two-word form of a descriptor."""
+class DescriptorWords(NamedTuple):
+    """The packed two-word form of a descriptor.  Any ``(word0, word1)``
+    pair of ints stands for one, as in the injector's buffer."""
 
     word0: int
     word1: int
 
 
-class Problem(str):
-    """One invariant violation: the message, with ``field`` naming the
-    Descriptor field at fault."""
+def validate(d: Descriptor) -> None:
+    """Raise InvalidDescriptor at the first invariant violation.
 
-    field: str
-
-    def __new__(cls, field: str, message: str):
-        problem = super().__new__(cls, message)
-        problem.field = field
-        return problem
-
-
-def validate(d: Descriptor) -> list[Problem]:
-    """Return the list of invariant violations (empty when valid).
-
-    This is the only check of descriptor field ranges; the pattern DSL and
-    inline topology descriptors both report its problems.
+    Fields are checked in this order: kind, size_bytes, reps, address,
+    delay_cycles.  This is the only check of descriptor field ranges;
+    encode, the pattern DSL, inline topology descriptors and the
+    injector's decode stage all report its error.
     """
-    problems = []
     if not isinstance(d.kind, Kind):
-        problems.append(Problem("kind", f"unknown kind: {d.kind!r}"))
-        return problems
+        raise InvalidDescriptor("kind", f"unknown kind: {d.kind!r}")
     if not SIZE_MIN <= d.size_bytes <= SIZE_MAX:
-        problems.append(Problem("size_bytes", f"size out of range: {d.size_bytes}"))
+        raise InvalidDescriptor("size_bytes", f"size out of range: {d.size_bytes}")
     if not REPS_MIN <= d.reps <= REPS_MAX:
-        problems.append(Problem("reps", f"reps out of range: {d.reps}"))
+        raise InvalidDescriptor("reps", f"reps out of range: {d.reps}")
     if not 0 <= d.address <= WORD_MASK:
-        problems.append(Problem("address", f"address out of range: {d.address:#x}"))
-    if d.kind is Kind.DELAY:
-        if d.delay_cycles is None or not DELAY_MIN <= d.delay_cycles <= DELAY_MAX:
-            problems.append(Problem("delay_cycles",
-                                    f"delay out of range: {d.delay_cycles}"))
-    return problems
+        raise InvalidDescriptor("address", f"address out of range: {d.address:#x}")
+    if d.kind is Kind.DELAY and (d.delay_cycles is None
+                                 or not DELAY_MIN <= d.delay_cycles <= DELAY_MAX):
+        raise InvalidDescriptor("delay_cycles", f"delay out of range: {d.delay_cycles}")
 
 
 def encode(d: Descriptor) -> DescriptorWords:
-    """Pack a valid descriptor; raises InvalidDescriptor otherwise."""
-    problems = validate(d)
-    if problems:
-        raise InvalidDescriptor(problems[0].field, "; ".join(problems))
+    """Pack a valid descriptor; raises validate's InvalidDescriptor, naming
+    the first field at fault, otherwise."""
+    validate(d)
     word0 = (
         int(d.last)
         | (d.kind.value << _KIND_SHIFT)
@@ -172,13 +158,15 @@ def encode(d: Descriptor) -> DescriptorWords:
     return DescriptorWords(word0, word1)
 
 
-def decode(w: DescriptorWords) -> Descriptor:
-    """Unpack a word pair; the inverse of encode() on its image.
+def decode(words: tuple[int, int]) -> Descriptor:
+    """Unpack a ``(word0, word1)`` pair; the inverse of encode() on its image.
 
     Reserved bits are checked before the kind code, so a malformed pair
-    raises exactly one of ReservedBitsSet / InvalidKindCode.
+    raises exactly one of ReservedBitsSet / InvalidKindCode.  The field
+    ranges are not checked: a DELAY of zero cycles decodes, and validate
+    rejects it.
     """
-    word0, word1 = w.word0 & WORD_MASK, w.word1 & WORD_MASK
+    word0, word1 = words[0] & WORD_MASK, words[1] & WORD_MASK
     if word0 >> _RESERVED_SHIFT:
         raise ReservedBitsSet(f"reserved bits set in word0: {word0:#010x}")
     code = (word0 >> _KIND_SHIFT) & _KIND_MASK
@@ -198,9 +186,6 @@ def decode(w: DescriptorWords) -> Descriptor:
 
 def encode_image(descriptors: list[Descriptor]) -> bytes:
     """Little-endian (word0, word1) pairs in program order."""
-    words = []
-    for d in descriptors:
-        w = encode(d)
-        words.extend((w.word0, w.word1))
+    words = [word for d in descriptors for word in encode(d)]
     return struct.pack("<%dI" % len(words), *words)
 

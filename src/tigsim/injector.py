@@ -90,11 +90,11 @@ class CapacityExceeded(ValueError):
 def _decode_words(words: tuple[int, int]) -> dm.Descriptor | str:
     """The valid descriptor a word pair encodes, or why it encodes none."""
     try:
-        desc = dm.decode(dm.DescriptorWords(*words))
+        desc = dm.decode(words)
+        dm.validate(desc)
     except dm.DescriptorError as exc:
         return str(exc)
-    problems = dm.validate(desc)
-    return "; ".join(problems) if problems else desc
+    return desc
 
 
 class _Slot:
@@ -165,10 +165,6 @@ class Injector:
             return self.buffer[(offset - BUFFER_BASE) // 4]
         return 0
 
-    def reset(self):
-        """Equivalent to writing RST through the configuration port."""
-        self.apb_write(CTRL_OFFSET, CTRL_RST)
-
     @staticmethod
     def _check_offset(offset: int):
         if not 0 <= offset < APB_SPAN:
@@ -206,23 +202,13 @@ class Injector:
         self._armed = True
 
     # -- status -------------------------------------------------------------
-
-    @property
-    def enabled(self) -> bool:
-        return bool(self._ctrl & CTRL_EN)
+    # Software sees the engine only through CTRL, STATUS and ERRINFO.  The
+    # harness's injector host reads STATUS bit DONE and the completed count
+    # (bits 31:16) directly, as ``done`` and ``completed_count``.
 
     @property
     def done(self) -> bool:
         return self._done
-
-    @property
-    def errored(self) -> bool:
-        return self._err
-
-    @property
-    def busy(self) -> bool:
-        return (self.enabled and not self._done and not self._err
-                and (self._armed or self._next is not None or self._exec is not None))
 
     @property
     def completed_count(self) -> int:
@@ -240,10 +226,12 @@ class Injector:
         return FSM_FETCH if self._armed else FSM_IDLE
 
     def _status_value(self) -> int:
+        busy = (self._ctrl & CTRL_EN and not self._done and not self._err
+                and (self._armed or self._next is not None or self._exec is not None))
         return (
             (STATUS_DONE if self._done else 0)
             | (STATUS_ERR if self._err else 0)
-            | (STATUS_BUSY if self.busy else 0)
+            | (STATUS_BUSY if busy else 0)
             | (STATUS_IRQ if self._irq else 0)
             | (self._fsm_code() << 4)
             | (self._completed << 16)

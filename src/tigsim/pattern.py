@@ -73,8 +73,8 @@ def statement(kind: dm.Kind, values: dict) -> dm.Descriptor:
     Both front ends, the DSL parser and inline topology descriptor lists,
     come through here, so they accept the same fields and the same ranges.
     Raises descriptors.InvalidDescriptor on the first field that is unknown
-    for the kind, missing, of the wrong type, or rejected by
-    descriptors.validate.
+    for the kind, missing or of the wrong type, and otherwise passes on
+    descriptors.validate's error for the first field out of range.
     """
     allowed = _DELAY_FIELDS if kind is dm.Kind.DELAY else _ACCESS_FIELDS
     for field, value in values.items():
@@ -87,9 +87,7 @@ def statement(kind: dm.Kind, values: dict) -> dm.Descriptor:
     if allowed[0] not in values:
         raise dm.InvalidDescriptor(allowed[0], "missing required integer")
     desc = dm.Descriptor(kind, **values)
-    problems = dm.validate(desc)
-    if problems:
-        raise dm.InvalidDescriptor(problems[0].field, problems[0])
+    dm.validate(desc)
     return desc
 
 
@@ -157,12 +155,8 @@ def lower(statements: list[dm.Descriptor]) -> list[dm.Descriptor]:
     return [*statements[:-1], replace(statements[-1], last=True)]
 
 
-def compile_text(text: str) -> list[dm.Descriptor]:
-    return lower(parse(text))
-
-
 def compile_file(path) -> list[dm.Descriptor]:
-    """Compile a UTF-8 pattern file; OSError if it cannot be read."""
+    """Parse and lower a UTF-8 pattern file; OSError if it cannot be read."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -170,7 +164,7 @@ def compile_file(path) -> list[dm.Descriptor]:
     except UnicodeDecodeError as exc:
         raise PatternSyntaxError(data.count(b"\n", 0, exc.start) + 1,
                                  f"not valid UTF-8: {exc.reason}") from None
-    return compile_text(text)
+    return lower(parse(text))
 
 
 # ---------------------------------------------------------------------------
@@ -201,21 +195,14 @@ def emit_apb_sequence(descriptors: list[dm.Descriptor], flags=()) -> list[ApbWri
         raise CapacityExceeded(
             f"{len(descriptors)} descriptors need {words_needed} words; "
             f"buffer holds {BUFFER_WORDS}")
-    seq = []
-    for i, d in enumerate(descriptors):
-        w = dm.encode(d)
-        seq.append(ApbWrite(BUFFER_BASE + 8 * i, w.word0))
-        seq.append(ApbWrite(BUFFER_BASE + 8 * i + 4, w.word1))
+    seq = [ApbWrite(BUFFER_BASE + 8 * i + 4 * j, word)
+           for i, d in enumerate(descriptors) for j, word in enumerate(dm.encode(d))]
     seq.append(ApbWrite(CTRL_OFFSET, ctrl_value(flags)))
     return seq
 
 
 def render_hex(descriptors: list[dm.Descriptor]) -> str:
-    lines = []
-    for d in descriptors:
-        w = dm.encode(d)
-        lines.append(f"{w.word0:08x}")
-        lines.append(f"{w.word1:08x}")
+    lines = [f"{word:08x}" for d in descriptors for word in dm.encode(d)]
     return "\n".join(lines) + "\n"
 
 

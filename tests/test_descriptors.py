@@ -80,16 +80,19 @@ def test_round_trip_exhaustive_grid():
 
 def test_validate_boundaries():
     ok = dm.Descriptor(dm.Kind.READ, address=0, size_bytes=8192)
-    assert dm.validate(ok) == []
+    assert dm.validate(ok) is None
     bad_size = dm.Descriptor(dm.Kind.READ, address=0, size_bytes=8193)
-    assert any("size out of range" in p for p in dm.validate(bad_size))
+    with pytest.raises(dm.InvalidDescriptor, match="size out of range"):
+        dm.validate(bad_size)
     bad_reps = dm.Descriptor(dm.Kind.READ, address=0, reps=0)
-    assert any("reps out of range" in p for p in dm.validate(bad_reps))
+    with pytest.raises(dm.InvalidDescriptor, match="reps out of range"):
+        dm.validate(bad_reps)
 
 
 def test_validate_delay_requires_cycles():
     d = dm.Descriptor(dm.Kind.DELAY)
-    assert any("delay out of range" in p for p in dm.validate(d))
+    with pytest.raises(dm.InvalidDescriptor, match="delay out of range"):
+        dm.validate(d)
 
 
 def test_encode_rejects_invalid():
@@ -119,19 +122,18 @@ def test_decode_total_modulo_two_errors(word0, word1):
         return
     # field widths match the legal ranges exactly, so everything decodes
     # cleanly except a DELAY whose cycle count word is zero
-    problems = dm.validate(d)
     if d.kind is dm.Kind.DELAY and word1 == 0:
-        assert problems
+        with pytest.raises(dm.InvalidDescriptor, match="delay out of range: 0"):
+            dm.validate(d)
     else:
-        assert problems == []
+        dm.validate(d)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
 def test_decode_encode_idempotent(word0, word1):
     try:
         d = dm.decode(dm.DescriptorWords(word0, word1))
+        dm.validate(d)
     except dm.DescriptorError:
-        return
-    if dm.validate(d):
         return
     assert dm.decode(dm.encode(d)) == d

@@ -42,7 +42,7 @@ def run_cycles(inj, bus, cycles, stop_when_done=True):
         bus.begin_cycle(now)
         inj.step(now)
         bus.arbitrate(now)
-        if stop_when_done and (inj.done or inj.errored):
+        if stop_when_done and inj.apb_read(STATUS_OFFSET) & (STATUS_DONE | STATUS_ERR):
             return now
     return None
 
@@ -116,12 +116,12 @@ def test_reset_idempotent_and_clears_err():
     inj.apb_write(CTRL_OFFSET, CTRL_EN)
     inj.step(0)
     inj.step(1)
-    assert inj.errored
-    inj.reset()
-    assert not inj.errored and inj.apb_read(STATUS_OFFSET) == 0
+    assert inj.apb_read(STATUS_OFFSET) & STATUS_ERR
+    inj.apb_write(CTRL_OFFSET, CTRL_RST)
+    assert inj.apb_read(STATUS_OFFSET) == 0
     assert inj.apb_read(0x400) == 0xABCD  # buffer preserved
     snapshot = inj.apb_read(CTRL_OFFSET)
-    inj.reset()
+    inj.apb_write(CTRL_OFFSET, CTRL_RST)
     assert inj.apb_read(CTRL_OFFSET) == snapshot
 
 
@@ -129,7 +129,7 @@ def test_rst_bit_wins_over_other_bits():
     inj = Injector()
     inj.apb_write(CTRL_OFFSET, CTRL_RST | CTRL_EN | CTRL_LOOP)
     assert inj.apb_read(CTRL_OFFSET) == CTRL_PIPE_EN
-    assert not inj.enabled
+    assert not inj.apb_read(CTRL_OFFSET) & CTRL_EN
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +273,7 @@ def test_decode_error_mid_program_reports_word_index():
     inj, bus = make_rig(descs)
     inj.apb_write(BUFFER_BASE + 8 * 2, 0)  # clobber descriptor 2's word0
     run_cycles(inj, bus, 60)
-    assert inj.errored
+    assert inj.apb_read(STATUS_OFFSET) & STATUS_ERR
     assert inj.apb_read(ERRINFO_OFFSET) == 4  # buffer word index 2*2
 
 
@@ -321,7 +321,7 @@ def test_reset_mid_run_halts_issuing():
         bus.begin_cycle(now)
         inj.step(now)
         bus.arbitrate(now)
-    inj.reset()
+    inj.apb_write(CTRL_OFFSET, CTRL_RST)
     count_at_reset = len(bus.completed) + 1  # the granted one still drains
     for now in range(5, 40):
         bus.begin_cycle(now)
@@ -371,7 +371,7 @@ def test_looping_program_decodes_each_word_pair_once(monkeypatch):
              dm.Descriptor(dm.Kind.READ, address=0x2000, size_bytes=8, last=True)]
     inj, bus = make_rig(descs, flags=("pipe", "loop"))
     run_cycles(inj, bus, 400)
-    assert len(bus.completed) > 40 and not inj.errored
+    assert len(bus.completed) > 40 and not inj.apb_read(STATUS_OFFSET) & STATUS_ERR
     assert len(calls) == 3
 
 
@@ -398,10 +398,31 @@ def test_rewritten_buffer_word_is_decoded_fresh(monkeypatch):
         bus.begin_cycle(now)
         inj.step(now)
         bus.arbitrate(now)
-    assert inj.errored and inj.apb_read(ERRINFO_OFFSET) == 2
+    assert inj.apb_read(STATUS_OFFSET) & STATUS_ERR and inj.apb_read(ERRINFO_OFFSET) == 2
     errors = [row for row in inj.trace.injector_rows if row[3].startswith("err")]
     assert [row[3] for row in errors] == [
         "err idx=1 reserved bits set in word0: 0xffffffff"]
+
+
+@pytest.mark.parametrize("words, reason", [
+    ((0x0, 0), "kind code 0"),
+    ((0xE, 5), "kind code 7"),
+    ((0x2, 0), "delay out of range: 0"),        # a DELAY of zero cycles
+], ids=["kind-0", "kind-7", "delay-0"])
+def test_decode_stage_err_rows(words, reason):
+    """A word pair that decodes to no valid descriptor stops the engine at
+    the decode stage, with one ERR row naming the fault."""
+    trace = TraceRecorder()
+    inj = Injector(trace=trace)
+    inj.apb_write(BUFFER_BASE, words[0])
+    inj.apb_write(BUFFER_BASE + 4, words[1])
+    inj.apb_write(CTRL_OFFSET, CTRL_EN | CTRL_PIPE_EN)
+    for now in range(4):
+        inj.step(now)
+    assert inj.apb_read(STATUS_OFFSET) & STATUS_ERR
+    assert inj.apb_read(ERRINFO_OFFSET) == 0
+    assert [row for row in trace.injector_rows if row[2] == "CTRL"] == [
+        (0, "inj", "CTRL", "start"), (1, "inj", "CTRL", f"err idx=0 {reason}")]
 
 
 def run_on_axi(descs, flags, latency=1):
@@ -501,7 +522,7 @@ def test_running_off_the_buffer_end_errs_and_drains_the_bus():
         bus.begin_cycle(now)
         inj.step(now)
         bus.arbitrate(now)
-        if err_at is None and inj.errored:
+        if err_at is None and inj.apb_read(STATUS_OFFSET) & STATUS_ERR:
             err_at, in_flight = now, 128 - len(bus.completed)
         if err_at is not None and bus.idle():
             break
@@ -550,7 +571,8 @@ def test_pipe_en_set_mid_descriptor_fetches_at_retirement():
 def test_loop_set_on_the_last_descriptor_wraps():
     inj, txns, gaps = run_with_ctrl_write(
         writes(1), ("pipe",), 4, CTRL_EN | CTRL_PIPE_EN | CTRL_LOOP)
-    assert not inj.done and inj.busy and len(txns) > 10
+    assert inj.apb_read(STATUS_OFFSET) & (STATUS_DONE | STATUS_BUSY) == STATUS_BUSY
+    assert len(txns) > 10
     assert gaps[:3] == [2, 0, 0]
 
 

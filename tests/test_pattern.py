@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from tigsim import descriptors as dm
 from tigsim import pattern as pat
+from tigsim.harness import ConfigError, load_topology
 from tigsim.injector import BUFFER_BASE, CTRL_OFFSET, Injector
 
 SAMPLES = Path(__file__).parent.parent / "samples"
@@ -64,6 +65,35 @@ def test_parse_range_errors(src, field):
         pat.parse(src)
     assert excinfo.value.field == field
     assert excinfo.value.line == 1
+
+
+@pytest.mark.parametrize("src,field,dsl_field,message", [
+    ("read 0x100000000 size=0 reps=0", "size_bytes", "size", "size out of range: 0"),
+    ("write 0x100000000 size=8193", "size_bytes", "size", "size out of range: 8193"),
+    ("read_fix 0x100000000 reps=65", "reps", "reps", "reps out of range: 65"),
+])
+def test_several_faults_name_the_first_in_validate_order(src, field, dsl_field, message):
+    """validate checks kind, size_bytes, reps, address, delay_cycles in that
+    order; encode, the DSL and an inline topology all name its first fault."""
+    head, address, *params = src.split()
+    values = {"address": int(address, 16)}
+    for param in params:
+        key, value = param.split("=")
+        values[{"size": "size_bytes"}.get(key, key)] = int(value)
+    with pytest.raises(dm.InvalidDescriptor) as excinfo:
+        dm.encode(dm.Descriptor(pat.KINDS[head], **values))
+    assert (excinfo.value.field, str(excinfo.value)) == (field, message)
+    with pytest.raises(pat.PatternRangeError) as excinfo:
+        pat.parse(src)
+    assert (excinfo.value.field, excinfo.value.message) == (dsl_field, message)
+    topology = {
+        "buses": [{"name": "a", "kind": "ahb", "L": 1}],
+        "masters": [{"name": "inj", "bus": "a", "role": "injector",
+                     "injector": {"descriptors": [{"kind": head, **values}]}}]}
+    with pytest.raises(ConfigError) as excinfo:
+        load_topology(topology)
+    assert excinfo.value.path == f"masters[0].injector.descriptors[0].{field}"
+    assert str(excinfo.value).endswith(f": {message}")
 
 
 @pytest.mark.parametrize("src,message", [
@@ -142,7 +172,7 @@ def test_lower_basic_tig_matches_golden_image():
 
 
 def test_apb_sequence_single_descriptor():
-    descs = pat.compile_text("read 0x80000000 size=4")
+    descs = pat.lower(pat.parse("read 0x80000000 size=4"))
     seq = pat.emit_apb_sequence(descs)
     assert seq == [
         pat.ApbWrite(0x400, 0x0000_6005),
@@ -160,7 +190,7 @@ def test_apb_sequence_capacity():
 
 
 def test_apb_sequence_loop_flag():
-    descs = pat.compile_text("read 0x10")
+    descs = pat.lower(pat.parse("read 0x10"))
     seq = pat.emit_apb_sequence(descs, ["loop"])
     assert seq[-1] == pat.ApbWrite(CTRL_OFFSET, 0x0000_0005)
 
@@ -171,7 +201,7 @@ def test_ctrl_value_unknown_flag():
 
 
 def test_render_hex():
-    text = pat.render_hex(pat.compile_text("read 0x80000000 size=4"))
+    text = pat.render_hex(pat.lower(pat.parse("read 0x80000000 size=4")))
     assert text == "00006005\n80000000\n"
 
 
