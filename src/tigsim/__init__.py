@@ -24,7 +24,7 @@ from .harness import (
     run_pair,
 )
 from .injector import CapacityExceeded, Injector, OffsetOutOfRange
-from .interconnect import AhbBus, AxiBus, TargetModel, Transaction, beats_for
+from .interconnect import Bus, Transaction, beats_for
 from .metrics import MetricsRecord, emit_csv
 from .pattern import PatternRangeError, PatternSyntaxError, parse
 

@@ -49,7 +49,7 @@ import yaml
 from . import descriptors as dm
 from . import pattern as pat
 from .injector import CapacityExceeded, Injector
-from .interconnect import POLICIES, AhbBus, AxiBus
+from .interconnect import KINDS, POLICIES, Bus
 from .metrics import MasterMetrics, MetricsRecord
 from .trace import TraceRecorder
 
@@ -253,8 +253,7 @@ def _load_injector(raw, path, base_dir: Path) -> InjectorSpec:
     enabled = values["enabled"]
     if not isinstance(enabled, bool):
         raise ConfigError(f"{path}.enabled", f"expected a boolean, got {enabled!r}")
-    # Raises CapacityExceeded when the program does not fit the buffer.
-    pat.emit_apb_sequence(descs, ctrl)
+    pat.check_fits(descs)
     return InjectorSpec(
         descriptors=tuple(descs),
         ctrl=tuple(ctrl),
@@ -266,7 +265,7 @@ def _load_injector(raw, path, base_dir: Path) -> InjectorSpec:
 
 def _load_bus(raw, path) -> BusSpec:
     values = _mapping(raw, path, BusSpec)
-    kind = _choice(values, "kind", path, ("ahb", "axi"))
+    kind = _choice(values, "kind", path, KINDS)
     if kind == "ahb" and "O" in raw:
         raise ConfigError(f"{path}.O", "only meaningful for axi buses")
     return BusSpec(
@@ -494,16 +493,10 @@ class Simulation:
     def __init__(self, topology: Topology, trace_enabled: bool = False):
         self.topology = topology
         self.trace = TraceRecorder() if trace_enabled else None
-        self.buses: dict[str, AhbBus | AxiBus] = {}
         self.now = 0
-        for spec in topology.buses:
-            if spec.kind == "ahb":
-                bus = AhbBus(spec.name, spec.latency, policy=spec.policy, trace=self.trace)
-            else:
-                bus = AxiBus(spec.name, spec.latency,
-                             policy=spec.policy, outstanding=spec.outstanding,
-                             trace=self.trace)
-            self.buses[spec.name] = bus
+        self.buses = {spec.name: Bus(spec.name, spec.kind, spec.latency, spec.policy,
+                                     spec.outstanding, self.trace)
+                      for spec in topology.buses}
         self._parts = {name: _Partition(bus) for name, bus in self.buses.items()}
         # Masters are registered on their bus in file order, so a disabled
         # injector keeps its master id; it is not built.  Injectors program
@@ -644,7 +637,7 @@ class Simulation:
     # -- metrics ------------------------------------------------------------
 
     def _collect(self, cycles: int, partial: bool) -> MetricsRecord:
-        per_master = {m.name: MasterMetrics(master=m.name, role=m.role)
+        per_master = {m.name: MasterMetrics(role=m.role)
                       for m in self.topology.masters}
         for name, txn in self.transactions():
             per_master[name].record(txn)

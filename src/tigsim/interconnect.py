@@ -1,7 +1,7 @@
-"""Cycle-level interconnect models: a serializing AHB-like bus and a
+"""A cycle-level ``Bus`` of two kinds: a serializing AHB-like bus and a
 split-channel AXI-like bus with outstanding transactions.
 
-Both models are stepped in two phases per simulated cycle:
+A bus is stepped in two phases per simulated cycle:
 
     begin_cycle(now)   retire transactions whose completion falls due
     arbitrate(now)     grant / accept pending requests for this cycle
@@ -11,10 +11,10 @@ cycle ``now`` is eligible for a grant at ``now``, and a master that
 observes a completion at ``now`` may issue its next request the same
 cycle with no idle gap.
 
-Both buses are built from one channel: per-master request queues, at
+Both kinds are built from one channel: per-master request queues, at
 most one grant per cycle, and one data beat per cycle in grant order.
 A transaction granted at cycle g nominally delivers beats at
-g+L .. g+L+beats-1; later grants stall behind earlier beats.  The buses
+g+L .. g+L+beats-1; later grants stall behind earlier beats.  The kinds
 differ only in timing:
 
 AHB: one channel for reads and writes that grants only while empty, so
@@ -41,6 +41,7 @@ BUS_WIDTH_BYTES = 4
 FIXED_PRIORITY = "fixed_priority"
 ROUND_ROBIN = "round_robin"
 POLICIES = (FIXED_PRIORITY, ROUND_ROBIN)
+KINDS = ("ahb", "axi")
 
 
 class UnknownMaster(ValueError):
@@ -71,7 +72,8 @@ class Transaction:
 
 @dataclass(frozen=True)
 class TargetModel:
-    """Parametric target: L cycles to the first beat, then 1 beat/cycle."""
+    """Parametric target: L cycles to the first beat, then 1 beat/cycle.
+    Only ``Bus`` builds one; the benchmark reads ``bus.target.first_latency``."""
 
     first_latency: int = 1
 
@@ -96,22 +98,25 @@ class _Channel:
         self.rr_next = 0
 
 
-class _Bus:
-    """The body of both buses.  ``_serial`` (AHB) means one channel for
-    reads and writes and AHB timing.  A traced bus logs each transaction
-    once, at submit; the trace renders its rows from that log."""
+class Bus:
+    """A bus of either kind: ``ahb`` is serial, one channel for reads and
+    writes with AHB timing; ``axi`` has a read and a write channel.  A traced
+    bus logs each transaction once, at submit; the trace renders its rows
+    from that log."""
 
-    kind: str
-    _serial: bool
-
-    def __init__(self, name: str, target: TargetModel | int, policy: str,
-                 outstanding: int, trace: TraceRecorder | None):
+    def __init__(self, name: str, kind: str, latency: int,
+                 policy: str = FIXED_PRIORITY, outstanding: int = 1,
+                 trace: TraceRecorder | None = None):
+        if kind not in KINDS:
+            raise ValueError(f"unknown bus kind: {kind!r}")
         if policy not in POLICIES:
             raise ValueError(f"unknown arbitration policy: {policy!r}")
-        self.target = TargetModel(target) if isinstance(target, int) else target
+        self.target = TargetModel(latency)
         if outstanding < 1:
             raise ValueError("outstanding cap must be >= 1")
         self.name = name
+        self.kind = kind
+        self._serial = kind == "ahb"
         self.policy = policy
         self.outstanding = outstanding
         self.trace = trace
@@ -206,6 +211,11 @@ class _Bus:
                 nxt = now + 1
         return nxt
 
+    def busy_cycles_between(self, lo: int, hi: int) -> int:
+        """AHB bus-occupied cycles in [lo, hi), from granted transactions."""
+        return sum(max(0, min(t.complete_cycle, hi) - max(t.grant_cycle, lo))
+                   for t in (*self.completed, *self._channels[0].granted))
+
     def idle(self) -> bool:
         return not any(ch.granted or ch.waiting for ch in self._channels)
 
@@ -241,32 +251,3 @@ class _Bus:
                 if t.grant_cycle is not None:
                     t.grant_cycle += k * cycles
                     t.complete_cycle += k * cycles
-
-
-class AhbBus(_Bus):
-    """Single-occupancy bus: transactions serialize, one at a time."""
-
-    kind = "ahb"
-    _serial = True
-
-    def __init__(self, name: str, target: TargetModel | int = 1,
-                 policy: str = FIXED_PRIORITY, trace: TraceRecorder | None = None):
-        super().__init__(name, target, policy, 1, trace)
-
-    def busy_cycles_between(self, lo: int, hi: int) -> int:
-        """Bus-occupied cycles in [lo, hi), from granted transactions."""
-        return sum(max(0, min(t.complete_cycle, hi) - max(t.grant_cycle, lo))
-                   for t in (*self.completed, *self._channels[0].granted))
-
-
-class AxiBus(_Bus):
-    """Split-channel bus: reads and writes proceed independently and
-    overlap up to the per-master outstanding cap."""
-
-    kind = "axi"
-    _serial = False
-
-    def __init__(self, name: str, target: TargetModel | int = 1,
-                 policy: str = FIXED_PRIORITY, outstanding: int = 1,
-                 trace: TraceRecorder | None = None):
-        super().__init__(name, target, policy, outstanding, trace)

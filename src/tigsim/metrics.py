@@ -32,7 +32,6 @@ def _nearest_rank(counts: dict[int, int], n: int, q) -> int | None:
 class MasterMetrics:
     """Aggregated timing for one master in one run."""
 
-    master: str
     role: str
     txn_count: int = 0
     total_bytes: int = 0

@@ -188,13 +188,17 @@ def ctrl_value(flags=()) -> int:
     return value
 
 
+def check_fits(descriptors: list[dm.Descriptor]):
+    """Raise CapacityExceeded when the program does not fit the buffer."""
+    if 2 * len(descriptors) > BUFFER_WORDS:
+        raise CapacityExceeded(
+            f"{len(descriptors)} descriptors need {2 * len(descriptors)} words; "
+            f"buffer holds {BUFFER_WORDS}")
+
+
 def emit_apb_sequence(descriptors: list[dm.Descriptor], flags=()) -> list[ApbWrite]:
     """Buffer writes in program order, then the single CTRL enable write."""
-    words_needed = 2 * len(descriptors)
-    if words_needed > BUFFER_WORDS:
-        raise CapacityExceeded(
-            f"{len(descriptors)} descriptors need {words_needed} words; "
-            f"buffer holds {BUFFER_WORDS}")
+    check_fits(descriptors)
     seq = [ApbWrite(BUFFER_BASE + 8 * i + 4 * j, word)
            for i, d in enumerate(descriptors) for j, word in enumerate(dm.encode(d))]
     seq.append(ApbWrite(CTRL_OFFSET, ctrl_value(flags)))

@@ -9,7 +9,7 @@ compare the resulting grant/completion cycles exactly.
 import random
 from dataclasses import dataclass
 
-from tigsim.interconnect import AhbBus, AxiBus, TargetModel
+from tigsim.interconnect import Bus
 
 
 @dataclass
@@ -54,7 +54,7 @@ def random_scenarios(seed: int, count: int, max_masters: int = 3):
 
 def drive_ahb(scenario: Scenario, horizon: int = 2000):
     """Run the package AHB model over a script; returns the bus."""
-    bus = AhbBus("ahb", TargetModel(scenario.latency), policy=scenario.policy)
+    bus = Bus("ahb", "ahb", scenario.latency, policy=scenario.policy)
     for m in range(scenario.n_masters):
         bus.add_master(f"m{m}")
     todo = sorted(range(len(scenario.script)),
@@ -76,8 +76,8 @@ def drive_ahb(scenario: Scenario, horizon: int = 2000):
 
 
 def drive_axi(scenario: Scenario, horizon: int = 2000):
-    bus = AxiBus("axi", TargetModel(scenario.latency), policy=scenario.policy,
-                 outstanding=scenario.outstanding)
+    bus = Bus("axi", "axi", scenario.latency, policy=scenario.policy,
+              outstanding=scenario.outstanding)
     for m in range(scenario.n_masters):
         bus.add_master(f"m{m}")
     todo = sorted(range(len(scenario.script)),

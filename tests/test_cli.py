@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -142,6 +143,21 @@ def test_run_cycle_limit_exits_3_with_partial_csv(tmp_path, capsys):
     assert code == 3
     assert "cycle limit" in err
     assert ":partial," in out_path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("flags,code,digest", [
+    (["--pair"], 0, "9e81fcdc6f02ec0afd18623714dbd635b0ce1490f3b72d3746d7d790469024a9"),
+    ([], 0, "8b3efe7e33bfecb3a2ae885dbbec41004c086466acc5ba007e28f9455dde5da9"),
+    (["--max-cycles", "500000"], 3,
+     "9599ded41b56e413e50390bc9bf43909689375c8813e263c7784ebf8ff820fb4"),
+], ids=["pair", "single", "cut"])
+def test_untraced_metrics_digests_are_pinned(tmp_path, capsys, flags, code, digest):
+    """The metrics bytes of untraced dual_bus.yaml runs, which skip
+    repeating periods (a traced run never does)."""
+    out_path = tmp_path / "metrics.csv"
+    assert run_cli(capsys, "run", str(SAMPLES / "dual_bus.yaml"), *flags,
+                   "-o", str(out_path))[0] == code
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
 
 def test_unknown_flag_exits_1(capsys):

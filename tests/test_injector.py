@@ -24,12 +24,12 @@ from tigsim.injector import (
     Injector,
     OffsetOutOfRange,
 )
-from tigsim.interconnect import AhbBus, AxiBus, TargetModel
+from tigsim.interconnect import Bus
 from tigsim.trace import TraceRecorder
 
 
 def make_rig(descriptors, flags=("pipe",), latency=1, policy="fixed_priority"):
-    bus = AhbBus("ahb", TargetModel(latency), policy=policy)
+    bus = Bus("ahb", "ahb", latency, policy=policy)
     master_id = bus.add_master("inj")
     inj = Injector("inj", bus=bus, master_id=master_id)
     for off, val in pat.emit_apb_sequence(descriptors, flags):
@@ -426,8 +426,7 @@ def test_decode_stage_err_rows(words, reason):
 
 
 def run_on_axi(descs, flags, latency=1):
-    from tigsim.interconnect import AxiBus
-    bus = AxiBus("axi", TargetModel(latency), outstanding=2)
+    bus = Bus("axi", "axi", latency, outstanding=2)
     mid = bus.add_master("inj")
     inj = Injector("inj", bus=bus, master_id=mid)
     for off, val in pat.emit_apb_sequence(descs, flags):
@@ -510,7 +509,7 @@ def test_status_per_cycle_legacy():
 
 def test_running_off_the_buffer_end_errs_and_drains_the_bus():
     trace = TraceRecorder()
-    bus = AxiBus("axi", TargetModel(6), outstanding=2)
+    bus = Bus("axi", "axi", 6, outstanding=2)
     inj = Injector("inj", bus=bus, master_id=bus.add_master("inj"), trace=trace)
     for i in range(BUFFER_WORDS // 2):   # 128 descriptors, none marked last
         w = dm.encode(dm.Descriptor(dm.Kind.WRITE, address=0x100 * i))
@@ -580,8 +579,8 @@ def _raw_rig(seed, trace_recorder):
     """An injector with random raw buffer words on a random bus, and the
     cycles at which CTRL is written."""
     rng = random.Random(seed)
-    bus_type = AhbBus if rng.random() < 0.5 else AxiBus
-    bus = bus_type("b", TargetModel(rng.randint(1, 4)), policy="round_robin")
+    kind = "ahb" if rng.random() < 0.5 else "axi"
+    bus = Bus("b", kind, rng.randint(1, 4), policy="round_robin")
     inj = Injector("inj", bus=bus, master_id=bus.add_master("inj"),
                    trace=trace_recorder)
     n = rng.choice([2, 6, 128])

@@ -3,13 +3,7 @@
 import pytest
 
 from scenario_tools import bus_trace_rows
-from tigsim.interconnect import (
-    AhbBus,
-    AxiBus,
-    TargetModel,
-    UnknownMaster,
-    beats_for,
-)
+from tigsim.interconnect import Bus, UnknownMaster, beats_for
 
 
 def drive(bus, events, horizon=200):
@@ -31,7 +25,7 @@ def test_beats_from_size(size, expected):
 
 
 def test_submit_unknown_master():
-    bus = AhbBus("b", TargetModel(1))
+    bus = Bus("b", "ahb", 1)
     with pytest.raises(UnknownMaster):
         bus.submit(0, "read", 0, 4, 0)
 
@@ -41,7 +35,7 @@ def test_submit_unknown_master():
 # ---------------------------------------------------------------------------
 
 def test_ahb_single_read_latency():
-    bus = AhbBus("b", TargetModel(2))
+    bus = Bus("b", "ahb", 2)
     bus.add_master("m0")
     (t,) = drive(bus, {0: [(0, "read", 4)]})
     assert t.grant_cycle == 0 and t.complete_cycle == 3
@@ -49,7 +43,7 @@ def test_ahb_single_read_latency():
 
 
 def test_ahb_fixed_priority_serializes():
-    bus = AhbBus("b", TargetModel(2))
+    bus = Bus("b", "ahb", 2)
     bus.add_master("m0")
     bus.add_master("m1")
     t0, t1 = drive(bus, {0: [(0, "read", 4), (1, "read", 4)]})
@@ -58,7 +52,7 @@ def test_ahb_fixed_priority_serializes():
 
 
 def test_ahb_round_robin_alternates_strictly():
-    bus = AhbBus("b", TargetModel(1), policy="round_robin")
+    bus = Bus("b", "ahb", 1, policy="round_robin")
     bus.add_master("m0")
     bus.add_master("m1")
     events = {0: [(0, "read", 4) for _ in range(5)] + [(1, "read", 4) for _ in range(5)]}
@@ -68,7 +62,7 @@ def test_ahb_round_robin_alternates_strictly():
 
 def test_ahb_round_robin_starvation_freedom():
     """A continuously pending master waits at most n_masters-1 grants."""
-    bus = AhbBus("b", TargetModel(1), policy="round_robin")
+    bus = Bus("b", "ahb", 1, policy="round_robin")
     for i in range(3):
         bus.add_master(f"m{i}")
     events = {0: [(m, "read", 4) for _ in range(6) for m in range(3)]}
@@ -80,7 +74,7 @@ def test_ahb_round_robin_starvation_freedom():
 
 
 def test_ahb_no_overlap_and_conservation():
-    bus = AhbBus("b", TargetModel(2))
+    bus = Bus("b", "ahb", 2)
     for i in range(3):
         bus.add_master(f"m{i}")
     events = {0: [(0, "read", 8)], 1: [(1, "write", 4)], 2: [(2, "read", 16)],
@@ -98,7 +92,7 @@ def test_ahb_no_overlap_and_conservation():
 
 def test_ahb_work_conservation():
     """A pending request is granted the same cycle the bus is free."""
-    bus = AhbBus("b", TargetModel(1))
+    bus = Bus("b", "ahb", 1)
     bus.add_master("m0")
     t0, t1 = drive(bus, {0: [(0, "read", 4)], 1: [(0, "read", 4)]})
     assert t0.complete_cycle == 2
@@ -106,7 +100,7 @@ def test_ahb_work_conservation():
 
 
 def test_ahb_single_master_latency_exact():
-    bus = AhbBus("b", TargetModel(3))
+    bus = Bus("b", "ahb", 3)
     bus.add_master("m0")
     events = {0: [(0, "read", 16)], 20: [(0, "write", 4)]}
     for t in drive(bus, events):
@@ -118,7 +112,7 @@ def test_ahb_single_master_latency_exact():
 # ---------------------------------------------------------------------------
 
 def test_axi_two_masters_overlap():
-    bus = AxiBus("x", TargetModel(2), outstanding=2)
+    bus = Bus("x", "axi", 2, outstanding=2)
     bus.add_master("m0")
     bus.add_master("m1")
     ta, tb = drive(bus, {0: [(0, "read", 4), (1, "read", 4)]})
@@ -129,7 +123,7 @@ def test_axi_two_masters_overlap():
 
 
 def test_axi_outstanding_cap_blocks_acceptance():
-    bus = AxiBus("x", TargetModel(2), outstanding=1)
+    bus = Bus("x", "axi", 2, outstanding=1)
     bus.add_master("m0")
     ta, tb = drive(bus, {0: [(0, "read", 4), (0, "read", 4)]})
     assert ta.complete_cycle == 2
@@ -138,7 +132,7 @@ def test_axi_outstanding_cap_blocks_acceptance():
 
 
 def test_axi_channels_independent():
-    bus = AxiBus("x", TargetModel(2), outstanding=1)
+    bus = Bus("x", "axi", 2, outstanding=1)
     bus.add_master("m0")
     ta, tb = drive(bus, {0: [(0, "read", 4), (0, "write", 4)]})
     assert ta.grant_cycle == tb.grant_cycle == 0
@@ -146,7 +140,7 @@ def test_axi_channels_independent():
 
 
 def test_axi_beats_stall_behind_earlier_transactions():
-    bus = AxiBus("x", TargetModel(1), outstanding=4)
+    bus = Bus("x", "axi", 1, outstanding=4)
     bus.add_master("m0")
     bus.add_master("m1")
     ta, tb = drive(bus, {0: [(0, "read", 16), (1, "read", 4)]})
@@ -157,7 +151,7 @@ def test_axi_beats_stall_behind_earlier_transactions():
 
 
 def test_axi_per_master_completion_in_acceptance_order():
-    bus = AxiBus("x", TargetModel(2), outstanding=4)
+    bus = Bus("x", "axi", 2, outstanding=4)
     bus.add_master("m0")
     events = {0: [(0, "read", 8)], 1: [(0, "read", 4)], 2: [(0, "read", 12)]}
     txns = drive(bus, events)
@@ -168,7 +162,7 @@ def test_axi_per_master_completion_in_acceptance_order():
 
 
 def test_axi_round_robin_acceptance():
-    bus = AxiBus("x", TargetModel(1), policy="round_robin", outstanding=8)
+    bus = Bus("x", "axi", 1, policy="round_robin", outstanding=8)
     bus.add_master("m0")
     bus.add_master("m1")
     events = {0: [(0, "read", 4) for _ in range(4)] + [(1, "read", 4) for _ in range(4)]}
@@ -180,7 +174,7 @@ def test_axi_round_robin_acceptance():
 def test_trace_grant_rows():
     from tigsim.trace import TraceRecorder
     trace = TraceRecorder()
-    bus = AhbBus("b", TargetModel(2), trace=trace)
+    bus = Bus("b", "ahb", 2, trace=trace)
     bus.add_master("m0")
     bus.add_master("m1")
     drive(bus, {0: [(0, "read", 4), (1, "read", 4)]})
@@ -222,8 +216,7 @@ def test_trace_rows_are_rendered_from_each_transaction(kind, events, horizon, do
     BEAT rows."""
     from tigsim.trace import TraceRecorder
     trace = TraceRecorder()
-    bus = (AhbBus("b", TargetModel(2), trace=trace) if kind == "ahb" else
-           AxiBus("b", TargetModel(2), outstanding=2, trace=trace))
+    bus = Bus("b", kind, 2, outstanding=2 if kind == "axi" else 1, trace=trace)
     bus.add_master("m0")
     bus.add_master("m1")
     txns = drive(bus, events, horizon)
@@ -237,7 +230,7 @@ def test_axi_next_event_waits_for_a_retirement_when_every_waiter_is_capped():
     wakeup before one.  Visiting only its next events grants exactly as
     visiting every cycle does."""
     def saturate(skip):
-        bus = AxiBus("x", TargetModel(2), outstanding=1)
+        bus = Bus("x", "axi", 2, outstanding=1)
         bus.add_master("m0")
         bus.add_master("m1")
         txns = [bus.submit(m, "write", 0, 16, 0) for m in (0, 1) for _ in range(3)]

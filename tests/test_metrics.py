@@ -20,7 +20,7 @@ def txn(txn_id, request, complete, beats=1, master=0, kind="read"):
 
 
 def with_latencies(latencies) -> MasterMetrics:
-    m = MasterMetrics("m0", "victim")
+    m = MasterMetrics("victim")
     for i, latency in enumerate(latencies):
         m.record(txn(i, 1000 + i, 1000 + i + latency))
     return m
@@ -51,13 +51,13 @@ def test_histogram_stats_equal_the_sample_stats(samples):
 
 
 def test_record_latency_from_interconnect_example():
-    m = MasterMetrics("m0", "victim")
+    m = MasterMetrics("victim")
     m.record(txn(0, 0, 3))  # L=2 single read
     assert m.latencies == {3: 1}
 
 
 def test_record_aggregates():
-    m = MasterMetrics("m0", "victim")
+    m = MasterMetrics("victim")
     m.record(txn(0, 0, 3))
     m.record(txn(1, 4, 10, beats=2))
     assert m.txn_count == 2
@@ -69,7 +69,7 @@ def test_record_aggregates():
 
 
 def test_zero_transaction_master_reports_absent():
-    m = MasterMetrics("quiet", "injector")
+    m = MasterMetrics("injector")
     assert m.txn_count == 0
     assert m.avg_latency is None and m.p50 is None and m.bandwidth is None
     rec = MetricsRecord("run", {"quiet": m})
@@ -84,9 +84,9 @@ def test_csv_header_exact():
 
 
 def test_csv_slowdown_formatting_and_empty_for_non_victims():
-    v = MasterMetrics("core", "victim", slowdown=1.0)
+    v = MasterMetrics("victim", slowdown=1.0)
     v.record(txn(0, 0, 3))
-    i = MasterMetrics("inj", "injector")
+    i = MasterMetrics("injector")
     i.record(txn(1, 2, 4))
     out = emit_csv([MetricsRecord("contended", {"core": v, "inj": i})])
     core_row = [l for l in out.splitlines() if l.startswith("contended,core")][0]
@@ -96,23 +96,23 @@ def test_csv_slowdown_formatting_and_empty_for_non_victims():
 
 
 def test_csv_rows_sorted_by_scenario_then_master():
-    a = MetricsRecord("beta", {"z": MasterMetrics("z", "victim"),
-                               "a": MasterMetrics("a", "victim")})
-    b = MetricsRecord("alpha", {"m": MasterMetrics("m", "victim")})
+    a = MetricsRecord("beta", {"z": MasterMetrics("victim"),
+                               "a": MasterMetrics("victim")})
+    b = MetricsRecord("alpha", {"m": MasterMetrics("victim")})
     rows = emit_csv([a, b]).splitlines()[1:]
     keys = [tuple(r.split(",")[:2]) for r in rows]
     assert keys == sorted(keys)
 
 
 def test_csv_byte_stable():
-    m = MasterMetrics("m0", "victim")
+    m = MasterMetrics("victim")
     m.record(txn(0, 0, 3))
     rec = MetricsRecord("run", {"m0": m})
     assert emit_csv([rec]) == emit_csv([rec])
 
 
 def test_partial_flag_in_scenario_column():
-    rec = MetricsRecord("run", {"m0": MasterMetrics("m0", "victim")},
+    rec = MetricsRecord("run", {"m0": MasterMetrics("victim")},
                         partial=True)
     assert emit_csv([rec]).splitlines()[1].startswith("run:partial,m0,")
 
