@@ -32,7 +32,9 @@ scenario label of the record), seed and cycle cap included; ``build``
 takes nothing else but whether to trace.  ``run_pair`` derives its two
 untraced runs from one topology: the baseline with every injector
 disabled and the contended run as given.  Topology files are YAML; the
-schema is documented in config-schema.md.
+schema is documented in config-schema.md.  The spec types hold its
+rules: a spec checks itself when built, from YAML or in code, so a
+``Topology`` that exists is valid and a bad one raises ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import yaml
 from . import descriptors as dm
 from . import pattern as pat
 from .injector import CapacityExceeded, Injector
-from .interconnect import KINDS, POLICIES, Bus
+from .interconnect import FIXED_PRIORITY, KINDS, POLICIES, Bus
 from .metrics import MasterMetrics, MetricsRecord
 from .trace import TraceRecorder
 
@@ -67,6 +69,7 @@ class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+        self.message = message
 
 
 class CycleLimitExceeded(RuntimeError):
@@ -80,53 +83,136 @@ class CycleLimitExceeded(RuntimeError):
 # ---------------------------------------------------------------------------
 # Topology schema
 #
-# The loader takes each level's YAML keys and defaults from these fields.
-# A field's YAML key is its name unless its metadata spells it otherwise.
+# A spec checks itself when built, from YAML or in code, and raises
+# ConfigError at the bad field's YAML key: its name unless its metadata
+# spells it otherwise.  The metadata holds the field's rule: min (and max),
+# choices, what (a CSV-safe name, described as what) or boolean.  Rules
+# across fields or specs follow.  The loader takes each level's keys and
+# defaults from these fields and puts the YAML path before an error's key.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BusSpec:
-    name: str
-    kind: str                 # 'ahb' | 'axi'
-    latency: int = field(metadata={"key": "L"})    # target first-access latency
-    policy: str = "fixed_priority"
-    outstanding: int = field(default=1, metadata={"key": "O"})  # AXI cap per channel
+_NAME_RE = re.compile(r"[A-Za-z0-9_.-]+")
+
+
+def _check(rule, value, path):
+    """Raise ConfigError at path unless value keeps rule (an empty one keeps any)."""
+    if "min" in rule:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(path, f"expected an integer, got {value!r}")
+        if value < rule["min"]:
+            raise ConfigError(path, f"must be >= {rule['min']}, got {value}")
+        if "max" in rule and value > rule["max"]:
+            raise ConfigError(path, f"must be <= {rule['max']}, got {value}")
+    elif "choices" in rule:
+        if value not in rule["choices"]:
+            raise ConfigError(path, f"expected one of {rule['choices']}, got {value!r}")
+    elif "what" in rule:
+        if not isinstance(value, str):
+            raise ConfigError(path, f"expected {rule['what']}")
+        if not _NAME_RE.fullmatch(value):
+            raise ConfigError(path, f"names are limited to [A-Za-z0-9_.-], got {value!r}")
+    elif "boolean" in rule and not isinstance(value, bool):
+        raise ConfigError(path, f"expected a boolean, got {value!r}")
+
+
+class _Checked:
+    """Checks every field's rule once the dataclass is built."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            _check(f.metadata, getattr(self, f.name), f.metadata.get("key", f.name))
 
 
 @dataclass(frozen=True)
-class VictimSpec:
-    period: int
-    count: int
-    kind: str                 # 'read' | 'write'
-    address: int
-    size_bytes: int = 4
+class BusSpec(_Checked):
+    name: str = field(metadata={"what": "bus name"})
+    kind: str = field(metadata={"choices": KINDS})
+    latency: int = field(metadata={"key": "L", "min": 1})   # target first-access latency
+    policy: str = field(default=FIXED_PRIORITY, metadata={"choices": POLICIES})
+    outstanding: int = field(default=1, metadata={"key": "O", "min": 1})  # AXI cap per channel
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.kind == "ahb":
+            # A serial channel grants only while empty, so any cap acts as 1.
+            object.__setattr__(self, "outstanding", 1)
 
 
 @dataclass(frozen=True)
-class InjectorSpec:
-    descriptors: tuple[dm.Descriptor, ...]
+class VictimSpec(_Checked):
+    period: int = field(metadata={"min": 1})
+    count: int = field(metadata={"min": 1})
+    kind: str = field(metadata={"choices": ("read", "write")})
+    address: int = field(metadata={"min": 0, "max": dm.WORD_MASK})
+    size_bytes: int = field(default=4, metadata={"min": 1, "max": dm.SIZE_MAX})
+
+
+@dataclass(frozen=True)
+class InjectorSpec(_Checked):
+    descriptors: tuple[dm.Descriptor, ...] = ()     # at least one
     ctrl: tuple[str, ...] = ("pipe",)
-    program_at: int = 0
-    program_via: str = "apb"  # 'apb' | 'data_bus'
-    enabled: bool = True
+    program_at: int = field(default=0, metadata={"min": 0})
+    program_via: str = field(default="apb", metadata={"choices": ("apb", "data_bus")})
+    enabled: bool = field(default=True, metadata={"boolean": True})
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not isinstance(self.ctrl, (list, tuple)):
+            raise ConfigError("ctrl", "expected a list of flag names")
+        for flag in self.ctrl:
+            if not isinstance(flag, str) or flag not in pat.CTRL_FLAG_BITS:
+                raise ConfigError("ctrl", f"unknown flag {flag!r}")
+        descs = self.descriptors
+        if not isinstance(descs, (list, tuple)) or not descs or not all(
+                isinstance(d, dm.Descriptor) for d in descs):
+            raise ConfigError("descriptors", "expected a non-empty list of descriptors")
+        object.__setattr__(self, "ctrl", tuple(self.ctrl))
+        object.__setattr__(self, "descriptors", tuple(descs))
 
 
 @dataclass(frozen=True)
-class MasterSpec:
-    name: str
-    bus: str
-    role: str                 # 'victim' | 'injector'
+class MasterSpec(_Checked):
+    name: str = field(metadata={"what": "master name"})
+    bus: str                  # one of the topology's bus names
+    role: str = field(metadata={"choices": ("victim", "injector")})
     victim: VictimSpec | None = None
     injector: InjectorSpec | None = None
 
+    def __post_init__(self):
+        super().__post_init__()
+        for role, spec in (("victim", VictimSpec), ("injector", InjectorSpec)):
+            value = getattr(self, role)
+            if role == self.role and not isinstance(value, spec):
+                raise ConfigError(role, f"expected a {spec.__name__} when role is {role!r}")
+            if role != self.role and value is not None:
+                raise ConfigError(role, f"not allowed when role is {self.role!r}")
+
 
 @dataclass(frozen=True)
-class Topology:
-    buses: tuple[BusSpec, ...]
-    masters: tuple[MasterSpec, ...]
-    name: str = "run"
-    seed: int = 0
-    max_cycles: int = DEFAULT_MAX_CYCLES
+class Topology(_Checked):
+    buses: tuple[BusSpec, ...] = ()      # at least one of each
+    masters: tuple[MasterSpec, ...] = ()
+    name: str = field(default="run", metadata={"what": "scenario name"})
+    seed: int = field(default=0, metadata={"min": 0})
+    max_cycles: int = field(default=DEFAULT_MAX_CYCLES, metadata={"min": 1})
+
+    def __post_init__(self):
+        super().__post_init__()
+        for key, spec, what in (("buses", BusSpec, "bus"), ("masters", MasterSpec, "master")):
+            specs = getattr(self, key)
+            if not isinstance(specs, (list, tuple)) or not specs:
+                raise ConfigError(key, f"at least one {what} required")
+            for i, s in enumerate(specs):
+                if not isinstance(s, spec):
+                    raise ConfigError(f"{key}[{i}]", f"expected a {spec.__name__}")
+            if len({s.name for s in specs}) != len(specs):
+                raise ConfigError(key, f"{what} names must be unique")
+            object.__setattr__(self, key, tuple(specs))
+        bus_names = tuple(b.name for b in self.buses)
+        for i, m in enumerate(self.masters):
+            if m.bus not in bus_names:
+                raise ConfigError(f"masters[{i}].bus",
+                                  f"expected one of {bus_names}, got {m.bus!r}")
 
     def digest(self) -> str:
         blob = json.dumps(asdict(self, dict_factory=_kinds_by_name), sort_keys=True).encode()
@@ -138,76 +224,38 @@ def _kinds_by_name(items) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Topology loading / validation
+# Topology loading
 # ---------------------------------------------------------------------------
-
-_NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
-
 
 def _at(path, key) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _mapping(raw, path, spec, extra=()) -> dict:
-    """raw read as one level of spec: a mapping whose keys are spec's
-    fields (or extra), with spec's defaults filled in for absent keys."""
+def _values(raw, path, spec, extra=()) -> dict:
+    """raw read as one level of spec, as spec's field values: a mapping
+    whose keys are spec's fields' keys (or extra), required ones present."""
     if not isinstance(raw, dict):
         raise ConfigError(path or "<config>", "expected a mapping")
     keys = {f.metadata.get("key", f.name): f for f in fields(spec)}
     for key in raw:
         if key not in keys and key not in extra:
             raise ConfigError(_at(path, key), "unknown key")
-    defaults = {key: f.default for key, f in keys.items() if f.default is not MISSING}
-    return {**defaults, **raw}
+    values = {}
+    for key, f in keys.items():
+        if key in raw:
+            values[f.name] = raw[key]
+        elif f.default is MISSING:
+            what = "integer" if "min" in f.metadata else f.metadata.get("what", "value")
+            raise ConfigError(_at(path, key), f"missing required {what}")
+    return values
 
 
-def _require(mapping, key, path, types, what):
-    if key not in mapping:
-        raise ConfigError(_at(path, key), f"missing required {what}")
-    value = mapping[key]
-    if not isinstance(value, types):
-        raise ConfigError(_at(path, key), f"expected {what}")
-    return value
-
-
-def _name_field(mapping, key, path, what):
-    value = _require(mapping, key, path, str, what)
-    if not _NAME_RE.match(value):
-        raise ConfigError(_at(path, key),
-                          f"names are limited to [A-Za-z0-9_.-], got {value!r}")
-    return value
-
-
-def _int_field(mapping, key, path, minimum, maximum=None):
-    where = _at(path, key)
-    if key not in mapping:
-        raise ConfigError(where, "missing required integer")
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(where, f"expected an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(where, f"must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(where, f"must be <= {maximum}, got {value}")
-    return value
-
-
-def _choice(mapping, key, path, choices: tuple):
-    value = _require(mapping, key, path, object, "value")
-    if value not in choices:
-        raise ConfigError(_at(path, key), f"expected one of {choices}, got {value!r}")
-    return value
-
-
-def _load_victim(raw, path) -> VictimSpec:
-    values = _mapping(raw, path, VictimSpec)
-    return VictimSpec(
-        period=_int_field(values, "period", path, 1),
-        count=_int_field(values, "count", path, 1),
-        kind=_choice(values, "kind", path, ("read", "write")),
-        address=_int_field(values, "address", path, 0, maximum=dm.WORD_MASK),
-        size_bytes=_int_field(values, "size_bytes", path, 1, maximum=dm.SIZE_MAX),
-    )
+def _build(spec, values, path):
+    """spec built from values, its errors placed under path."""
+    try:
+        return spec(**values)
+    except ConfigError as exc:
+        raise ConfigError(_at(path, exc.path), exc.message) from None
 
 
 def _load_inline_descriptors(raw, path) -> list[dm.Descriptor]:
@@ -218,21 +266,25 @@ def _load_inline_descriptors(raw, path) -> list[dm.Descriptor]:
         epath = f"{path}[{i}]"
         if not isinstance(entry, dict):
             raise ConfigError(epath, "expected a mapping")
-        kind_name = _choice(entry, "kind", epath, tuple(pat.KINDS))
+        if "kind" not in entry:
+            raise ConfigError(f"{epath}.kind", "missing required value")
+        _check({"choices": tuple(pat.KINDS)}, entry["kind"], f"{epath}.kind")
         values = {k: v for k, v in entry.items() if k != "kind"}
         try:
-            statements.append(pat.statement(pat.KINDS[kind_name], values))
+            statements.append(pat.statement(pat.KINDS[entry["kind"]], values))
         except dm.InvalidDescriptor as exc:
             raise ConfigError(f"{epath}.{exc.field}", str(exc)) from None
     return pat.lower(statements)
 
 
 def _load_injector(raw, path, base_dir: Path) -> InjectorSpec:
-    values = _mapping(raw, path, InjectorSpec, extra=("pattern",))
+    values = _values(raw, path, InjectorSpec, extra=("pattern",))
     if ("pattern" in raw) == ("descriptors" in raw):
         raise ConfigError(path, "exactly one of 'pattern' or 'descriptors' required")
     if "pattern" in raw:
-        pattern_path = Path(_require(values, "pattern", path, str, "pattern file path"))
+        if not isinstance(raw["pattern"], str):
+            raise ConfigError(f"{path}.pattern", "expected pattern file path")
+        pattern_path = Path(raw["pattern"])
         if not pattern_path.is_absolute():
             pattern_path = base_dir / pattern_path
         try:
@@ -242,57 +294,33 @@ def _load_injector(raw, path, base_dir: Path) -> InjectorSpec:
         except pat.PatternError as exc:
             raise ConfigError(f"{path}.pattern", str(exc)) from exc
     else:
-        descs = _load_inline_descriptors(values["descriptors"], f"{path}.descriptors")
-
-    ctrl = values["ctrl"]
-    if not isinstance(ctrl, (list, tuple)):
-        raise ConfigError(f"{path}.ctrl", "expected a list of flag names")
-    for flag in ctrl:
-        if not isinstance(flag, str) or flag not in pat.CTRL_FLAG_BITS:
-            raise ConfigError(f"{path}.ctrl", f"unknown flag {flag!r}")
-    enabled = values["enabled"]
-    if not isinstance(enabled, bool):
-        raise ConfigError(f"{path}.enabled", f"expected a boolean, got {enabled!r}")
+        descs = _load_inline_descriptors(raw["descriptors"], f"{path}.descriptors")
     pat.check_fits(descs)
-    return InjectorSpec(
-        descriptors=tuple(descs),
-        ctrl=tuple(ctrl),
-        program_at=_int_field(values, "program_at", path, 0),
-        program_via=_choice(values, "program_via", path, ("apb", "data_bus")),
-        enabled=enabled,
-    )
+    return _build(InjectorSpec, {**values, "descriptors": descs}, path)
 
 
 def _load_bus(raw, path) -> BusSpec:
-    values = _mapping(raw, path, BusSpec)
-    kind = _choice(values, "kind", path, KINDS)
-    if kind == "ahb" and "O" in raw:
+    values = _values(raw, path, BusSpec)
+    if values["kind"] == "ahb" and "O" in raw:
         raise ConfigError(f"{path}.O", "only meaningful for axi buses")
-    return BusSpec(
-        name=_name_field(values, "name", path, "bus name"),
-        kind=kind,
-        latency=_int_field(values, "L", path, 1),
-        policy=_choice(values, "policy", path, POLICIES),
-        outstanding=_int_field(values, "O", path, 1),
-    )
+    return _build(BusSpec, values, path)
 
 
-def _load_master(raw, path, bus_names: tuple, base_dir: Path) -> MasterSpec:
-    values = _mapping(raw, path, MasterSpec)
-    name = _name_field(values, "name", path, "master name")
-    bus = _choice(values, "bus", path, bus_names)
-    role = _choice(values, "role", path, ("victim", "injector"))
-    other = "injector" if role == "victim" else "victim"
-    if other in raw:
-        raise ConfigError(f"{path}.{other}", f"not allowed when role is {role!r}")
-    if role == "victim":
-        return MasterSpec(name, bus, role,
-                          victim=_load_victim(values["victim"], f"{path}.victim"))
-    try:
-        injector = _load_injector(values["injector"], f"{path}.injector", base_dir)
-    except CapacityExceeded as exc:
-        raise ConfigError(f"{path}.injector", f"{name}: {exc}") from exc
-    return MasterSpec(name, bus, role, injector=injector)
+def _load_master(raw, path, base_dir: Path) -> MasterSpec:
+    """The role's spec is read first, so that MasterSpec is built once."""
+    values = _values(raw, path, MasterSpec)
+    role = values["role"]
+    if role in ("victim", "injector"):
+        other = "injector" if role == "victim" else "victim"
+        if other in raw:
+            raise ConfigError(f"{path}.{other}", f"not allowed when role is {role!r}")
+        at = f"{path}.{role}"
+        try:
+            values[role] = (_load_injector(raw.get(role), at, base_dir) if role == "injector"
+                            else _build(VictimSpec, _values(raw.get(role), at, VictimSpec), at))
+        except CapacityExceeded as exc:
+            raise ConfigError(at, f"{values['name']}: {exc}") from exc
+    return _build(MasterSpec, values, path)
 
 
 def load_topology(source) -> Topology:
@@ -313,31 +341,13 @@ def load_topology(source) -> Topology:
     else:
         raw, base = source, Path.cwd()
 
-    values = _mapping(raw, "", Topology)
-    buses_raw = values.get("buses")
-    if not isinstance(buses_raw, list) or not buses_raw:
-        raise ConfigError("buses", "at least one bus required")
-    buses = tuple(_load_bus(b, f"buses[{i}]") for i, b in enumerate(buses_raw))
-    bus_names = tuple(b.name for b in buses)
-    if len(set(bus_names)) != len(bus_names):
-        raise ConfigError("buses", "bus names must be unique")
-
-    masters_raw = values.get("masters")
-    if not isinstance(masters_raw, list) or not masters_raw:
-        raise ConfigError("masters", "at least one master required")
-    masters = tuple(_load_master(m, f"masters[{i}]", bus_names, base)
-                    for i, m in enumerate(masters_raw))
-    names = [m.name for m in masters]
-    if len(set(names)) != len(names):
-        raise ConfigError("masters", "master names must be unique")
-
-    return Topology(
-        buses=buses,
-        masters=masters,
-        name=_name_field(values, "name", "", "scenario name"),
-        seed=_int_field(values, "seed", "", 0),
-        max_cycles=_int_field(values, "max_cycles", "", 1),
-    )
+    values = _values(raw, "", Topology)
+    if isinstance(values.get("buses"), list):
+        values["buses"] = [_load_bus(b, f"buses[{i}]") for i, b in enumerate(values["buses"])]
+    if isinstance(values.get("masters"), list):
+        values["masters"] = [_load_master(m, f"masters[{i}]", base)
+                             for i, m in enumerate(values["masters"])]
+    return _build(Topology, values, "")
 
 
 # ---------------------------------------------------------------------------

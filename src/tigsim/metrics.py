@@ -72,13 +72,11 @@ class MasterMetrics:
 
     @property
     def bandwidth(self) -> float | None:
-        """Bytes per cycle over this master's own active interval."""
+        """Bytes per cycle over this master's own active interval, which
+        is at least one cycle: every latency is."""
         if not self.txn_count:
             return None
-        span = self.completion_cycle - self.first_request
-        if span <= 0:
-            return None
-        return self.total_bytes / span
+        return self.total_bytes / (self.completion_cycle - self.first_request)
 
 
 @dataclass

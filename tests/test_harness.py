@@ -685,6 +685,13 @@ def test_untraced_build_has_no_recorder():
     assert build(shared_bus_topology(), trace_enabled=True).trace is not None
 
 
+def test_an_injector_is_looked_up_by_name():
+    sim = build(shared_bus_topology(injector=loop_injector()))
+    assert sim.injector("inj0") is sim.hosts[0].injector
+    with pytest.raises(KeyError, match="no injector named 'nope'"):
+        sim.injector("nope")
+
+
 def test_inline_descriptors_match_the_dsl():
     """Both front ends build the same program from the same statements."""
     inline = [{"kind": "read", "address": 0x8000_0000},

@@ -43,6 +43,12 @@ def test_parse_missing_address():
     assert excinfo.value.line == 1
 
 
+def test_parse_bad_address_is_named():
+    with pytest.raises(pat.PatternSyntaxError) as excinfo:
+        pat.parse("read 0xZZ size=4")
+    assert str(excinfo.value) == "line 1: expected an address, got '0xZZ'"
+
+
 def test_parse_comments_and_blanks_ignored():
     assert len(pat.parse("# header\n\nread 0x10  # trailing\n\n")) == 1
 
