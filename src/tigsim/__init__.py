@@ -11,7 +11,6 @@ from .descriptors import (
     ReservedBitsSet,
     decode,
     encode,
-    validate,
 )
 from .harness import (
     ConfigError,

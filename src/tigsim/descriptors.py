@@ -14,7 +14,11 @@ READ/WRITE advance the target address by ``size_bytes`` after every
 repetition (streaming); READ_FIX/WRITE_FIX re-access a fixed address
 (hammering).  DELAY pauses injection for ``delay_cycles`` per repetition;
 its address and size are meaningless and are stored canonically (0 and 1)
-so that encode/decode round-trips exactly on every valid descriptor.
+so that encode/decode round-trips exactly.
+
+A Descriptor checks its types and ranges when built (by the pattern DSL,
+an inline topology, code or decode) and raises InvalidDescriptor at the
+first fault: one that exists is valid, and encode checks nothing again.
 
 Binary descriptor images are little-endian ``(word0, word1)`` pairs
 concatenated in program order; see descriptor-format.md.
@@ -86,6 +90,11 @@ class ReservedBitsSet(DescriptorError):
     """word0 has non-zero reserved bits (31:26)."""
 
 
+# Descriptor field types, in the order __post_init__ checks them.
+_FIELD_TYPES = (("address", int), ("size_bytes", int), ("reps", int),
+                ("delay_cycles", int), ("last", bool), ("irq_on_done", bool))
+
+
 @dataclass(frozen=True)
 class Descriptor:
     """One decoded traffic action."""
@@ -99,6 +108,8 @@ class Descriptor:
     delay_cycles: int | None = None
 
     def __post_init__(self):
+        """Raise InvalidDescriptor at the first fault: a field's type, then
+        the ranges of kind, size_bytes, reps, address and delay_cycles."""
         # Canonical storage keeps encode a bijection on valid descriptors:
         # DELAY carries no address/size, the other kinds carry no delay.
         if self.kind is Kind.DELAY:
@@ -106,6 +117,20 @@ class Descriptor:
             object.__setattr__(self, "size_bytes", 1)
         else:
             object.__setattr__(self, "delay_cycles", None)
+        for name, want in _FIELD_TYPES:
+            value = getattr(self, name)
+            if type(value) is not want and (name != "delay_cycles" or self.kind is Kind.DELAY):
+                raise InvalidDescriptor(name, f"expected {want.__name__}, got {value!r}")
+        if not isinstance(self.kind, Kind):
+            raise InvalidDescriptor("kind", f"unknown kind: {self.kind!r}")
+        if not SIZE_MIN <= self.size_bytes <= SIZE_MAX:
+            raise InvalidDescriptor("size_bytes", f"size out of range: {self.size_bytes}")
+        if not REPS_MIN <= self.reps <= REPS_MAX:
+            raise InvalidDescriptor("reps", f"reps out of range: {self.reps}")
+        if not 0 <= self.address <= WORD_MASK:
+            raise InvalidDescriptor("address", f"address out of range: {self.address:#x}")
+        if self.kind is Kind.DELAY and not DELAY_MIN <= self.delay_cycles <= DELAY_MAX:
+            raise InvalidDescriptor("delay_cycles", f"delay out of range: {self.delay_cycles}")
 
     @classmethod
     def delay(cls, cycles: int, reps: int = 1, last: bool = False,
@@ -122,31 +147,8 @@ class DescriptorWords(NamedTuple):
     word1: int
 
 
-def validate(d: Descriptor) -> None:
-    """Raise InvalidDescriptor at the first invariant violation.
-
-    Fields are checked in this order: kind, size_bytes, reps, address,
-    delay_cycles.  This is the only check of descriptor field ranges;
-    encode, the pattern DSL, inline topology descriptors and the
-    injector's decode stage all report its error.
-    """
-    if not isinstance(d.kind, Kind):
-        raise InvalidDescriptor("kind", f"unknown kind: {d.kind!r}")
-    if not SIZE_MIN <= d.size_bytes <= SIZE_MAX:
-        raise InvalidDescriptor("size_bytes", f"size out of range: {d.size_bytes}")
-    if not REPS_MIN <= d.reps <= REPS_MAX:
-        raise InvalidDescriptor("reps", f"reps out of range: {d.reps}")
-    if not 0 <= d.address <= WORD_MASK:
-        raise InvalidDescriptor("address", f"address out of range: {d.address:#x}")
-    if d.kind is Kind.DELAY and (d.delay_cycles is None
-                                 or not DELAY_MIN <= d.delay_cycles <= DELAY_MAX):
-        raise InvalidDescriptor("delay_cycles", f"delay out of range: {d.delay_cycles}")
-
-
 def encode(d: Descriptor) -> DescriptorWords:
-    """Pack a valid descriptor; raises validate's InvalidDescriptor, naming
-    the first field at fault, otherwise."""
-    validate(d)
+    """Pack a descriptor into its two words."""
     word0 = (
         int(d.last)
         | (d.kind.value << _KIND_SHIFT)
@@ -162,9 +164,9 @@ def decode(words: tuple[int, int]) -> Descriptor:
     """Unpack a ``(word0, word1)`` pair; the inverse of encode() on its image.
 
     Reserved bits are checked before the kind code, so a malformed pair
-    raises exactly one of ReservedBitsSet / InvalidKindCode.  The field
-    ranges are not checked: a DELAY of zero cycles decodes, and validate
-    rejects it.
+    raises exactly one of ReservedBitsSet / InvalidKindCode.  The other
+    fields' widths match their ranges, so every other pair decodes, bar a
+    DELAY of zero cycles: its Descriptor raises InvalidDescriptor.
     """
     word0, word1 = words[0] & WORD_MASK, words[1] & WORD_MASK
     if word0 >> _RESERVED_SHIFT:

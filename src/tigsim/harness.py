@@ -50,7 +50,7 @@ import yaml
 
 from . import descriptors as dm
 from . import pattern as pat
-from .injector import CapacityExceeded, Injector
+from .injector import Injector
 from .interconnect import FIXED_PRIORITY, KINDS, POLICIES, Bus
 from .metrics import MasterMetrics, MetricsRecord
 from .trace import TraceRecorder
@@ -186,6 +186,11 @@ class MasterSpec(_Checked):
                 raise ConfigError(role, f"expected a {spec.__name__} when role is {role!r}")
             if role != self.role and value is not None:
                 raise ConfigError(role, f"not allowed when role is {self.role!r}")
+        if self.injector is not None:
+            try:
+                pat.check_fits(self.injector.descriptors)
+            except pat.CapacityExceeded as exc:
+                raise ConfigError("injector", f"{self.name}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -295,7 +300,6 @@ def _load_injector(raw, path, base_dir: Path) -> InjectorSpec:
             raise ConfigError(f"{path}.pattern", str(exc)) from exc
     else:
         descs = _load_inline_descriptors(raw["descriptors"], f"{path}.descriptors")
-    pat.check_fits(descs)
     return _build(InjectorSpec, {**values, "descriptors": descs}, path)
 
 
@@ -315,11 +319,8 @@ def _load_master(raw, path, base_dir: Path) -> MasterSpec:
         if other in raw:
             raise ConfigError(f"{path}.{other}", f"not allowed when role is {role!r}")
         at = f"{path}.{role}"
-        try:
-            values[role] = (_load_injector(raw.get(role), at, base_dir) if role == "injector"
-                            else _build(VictimSpec, _values(raw.get(role), at, VictimSpec), at))
-        except CapacityExceeded as exc:
-            raise ConfigError(at, f"{values['name']}: {exc}") from exc
+        values[role] = (_load_injector(raw.get(role), at, base_dir) if role == "injector"
+                        else _build(VictimSpec, _values(raw.get(role), at, VictimSpec), at))
     return _build(MasterSpec, values, path)
 
 

@@ -90,11 +90,9 @@ class CapacityExceeded(ValueError):
 def _decode_words(words: tuple[int, int]) -> dm.Descriptor | str:
     """The valid descriptor a word pair encodes, or why it encodes none."""
     try:
-        desc = dm.decode(words)
-        dm.validate(desc)
+        return dm.decode(words)
     except dm.DescriptorError as exc:
         return str(exc)
-    return desc
 
 
 class _Slot:

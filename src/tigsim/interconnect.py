@@ -131,9 +131,7 @@ class Bus:
                size_bytes: int, now: int) -> Transaction:
         if not 0 <= master_id < len(self.masters):
             raise UnknownMaster(f"master id {master_id} not registered on {self.name}")
-        ch = self._channel_of.get(kind)
-        if ch is None:
-            raise ValueError(f"transaction kind must be 'read' or 'write', got {kind!r}")
+        ch = self._channel_of[kind]
         txn = Transaction(self.next_id, master_id, kind, address & 0xFFFFFFFF,
                           beats_for(size_bytes), now)
         self.next_id += 1

@@ -71,24 +71,20 @@ def statement(kind: dm.Kind, values: dict) -> dm.Descriptor:
     """Build one descriptor, not marked last, from its field values.
 
     Both front ends, the DSL parser and inline topology descriptor lists,
-    come through here, so they accept the same fields and the same ranges.
-    Raises descriptors.InvalidDescriptor on the first field that is unknown
-    for the kind, missing or of the wrong type, and otherwise passes on
-    descriptors.validate's error for the first field out of range.
+    come through here, so they accept the same fields.  Raises
+    descriptors.InvalidDescriptor on the first field that is unknown for
+    the kind, or on the required one if it is missing, and otherwise passes
+    on the Descriptor's own error for the first field of the wrong type or
+    out of range.
     """
     allowed = _DELAY_FIELDS if kind is dm.Kind.DELAY else _ACCESS_FIELDS
-    for field, value in values.items():
+    for field in values:
         if field not in allowed:
             raise dm.InvalidDescriptor(field, f"not a field of {kind.name.lower()} "
                                               f"descriptors; expected one of {allowed}")
-        want = bool if field == "irq_on_done" else int
-        if type(value) is not want:
-            raise dm.InvalidDescriptor(field, f"expected {want.__name__}, got {value!r}")
     if allowed[0] not in values:
         raise dm.InvalidDescriptor(allowed[0], "missing required integer")
-    desc = dm.Descriptor(kind, **values)
-    dm.validate(desc)
-    return desc
+    return dm.Descriptor(kind, **values)
 
 
 def _parse_int(token: str, line: int, what: str) -> int:

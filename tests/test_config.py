@@ -143,6 +143,8 @@ TOPO = Topology(buses=(AHB, AXI), masters=(CORE, INJ))
     (lambda: replace(INJECTOR, descriptors=()), "descriptors"),
     (lambda: replace(INJECTOR, descriptors=("read",)), "descriptors"),
     (lambda: InjectorSpec(), "descriptors"),
+    (lambda: replace(INJ, injector=replace(INJECTOR, descriptors=INJECTOR.descriptors * 129)),
+     "injector"),
     (lambda: Topology(masters=(CORE,)), "buses"),
     (lambda: replace(CORE, role="x"), "role"),
     (lambda: replace(CORE, injector=INJECTOR), "injector"),

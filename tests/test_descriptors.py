@@ -1,9 +1,9 @@
-"""Descriptor encode/decode/validate behavior."""
+"""Descriptor construction checks and encode/decode behavior."""
 
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tigsim import descriptors as dm
 
@@ -31,6 +31,12 @@ def test_decode_read_example():
     d = dm.decode(dm.DescriptorWords(0x0000_6005, 0x8000_0000))
     assert d == dm.Descriptor(dm.Kind.READ, address=0x8000_0000, size_bytes=4,
                               reps=1, last=True)
+
+
+def test_a_delay_has_no_bus_kind():
+    assert (dm.Kind.READ_FIX.bus_kind, dm.Kind.WRITE.bus_kind) == ("read", "write")
+    with pytest.raises(ValueError, match="DELAY descriptors do not touch the bus"):
+        dm.Kind.DELAY.bus_kind
 
 
 def test_decode_kind_zero_rejected():
@@ -79,20 +85,52 @@ def test_round_trip_exhaustive_grid():
 
 
 def test_validate_boundaries():
-    ok = dm.Descriptor(dm.Kind.READ, address=0, size_bytes=8192)
-    assert dm.validate(ok) is None
-    bad_size = dm.Descriptor(dm.Kind.READ, address=0, size_bytes=8193)
+    """A Descriptor checks its ranges when built: the bounds build, one
+    past them raises."""
+    assert dm.Descriptor(dm.Kind.READ, address=0, size_bytes=8192).size_bytes == 8192
     with pytest.raises(dm.InvalidDescriptor, match="size out of range"):
-        dm.validate(bad_size)
-    bad_reps = dm.Descriptor(dm.Kind.READ, address=0, reps=0)
+        dm.Descriptor(dm.Kind.READ, address=0, size_bytes=8193)
     with pytest.raises(dm.InvalidDescriptor, match="reps out of range"):
-        dm.validate(bad_reps)
+        dm.Descriptor(dm.Kind.READ, address=0, reps=0)
 
 
 def test_validate_delay_requires_cycles():
-    d = dm.Descriptor(dm.Kind.DELAY)
-    with pytest.raises(dm.InvalidDescriptor, match="delay out of range"):
-        dm.validate(d)
+    with pytest.raises(dm.InvalidDescriptor, match="expected int, got None"):
+        dm.Descriptor(dm.Kind.DELAY)
+
+
+@pytest.mark.parametrize("make,field,message", [
+    (lambda: dm.Descriptor("read"), "kind", "unknown kind: 'read'"),
+    (lambda: dm.Descriptor(2, address=4), "kind", "unknown kind: 2"),
+    (lambda: dm.Descriptor(dm.Kind.READ, address="4"), "address", "expected int, got '4'"),
+    (lambda: dm.Descriptor(dm.Kind.READ, address=True), "address", "expected int, got True"),
+    (lambda: dm.Descriptor(dm.Kind.READ, size_bytes=4.0), "size_bytes",
+     "expected int, got 4.0"),
+    (lambda: dm.Descriptor(dm.Kind.WRITE, reps=None), "reps", "expected int, got None"),
+    (lambda: dm.Descriptor.delay(False), "delay_cycles", "expected int, got False"),
+    (lambda: dm.Descriptor.delay(5, last=1), "last", "expected bool, got 1"),
+    (lambda: dm.Descriptor(dm.Kind.READ, irq_on_done="yes"), "irq_on_done",
+     "expected bool, got 'yes'"),
+    (lambda: dm.Descriptor(dm.Kind.READ, size_bytes=0), "size_bytes", "size out of range: 0"),
+    (lambda: dm.Descriptor(dm.Kind.READ_FIX, size_bytes=8193), "size_bytes",
+     "size out of range: 8193"),
+    (lambda: dm.Descriptor(dm.Kind.WRITE, reps=0), "reps", "reps out of range: 0"),
+    (lambda: dm.Descriptor.delay(5, reps=65), "reps", "reps out of range: 65"),
+    (lambda: dm.Descriptor(dm.Kind.READ, address=-1), "address", "address out of range: -0x1"),
+    (lambda: dm.Descriptor(dm.Kind.WRITE_FIX, address=2**32), "address",
+     "address out of range: 0x100000000"),
+    (lambda: dm.Descriptor.delay(0), "delay_cycles", "delay out of range: 0"),
+    (lambda: dm.Descriptor.delay(2**32), "delay_cycles", "delay out of range: 4294967296"),
+    (lambda: dm.Descriptor(dm.Kind.READ, reps=0, address=2**32), "reps",
+     "reps out of range: 0"),
+])
+def test_a_bad_descriptor_cannot_be_built(make, field, message):
+    """Every type and range fault raises at construction, naming the field;
+    with several, the first in the order types, kind, size_bytes, reps,
+    address, delay_cycles."""
+    with pytest.raises(dm.InvalidDescriptor) as excinfo:
+        make()
+    assert (excinfo.value.field, str(excinfo.value)) == (field, message)
 
 
 def test_encode_rejects_invalid():
@@ -109,8 +147,9 @@ def test_delay_fields_canonical():
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
-def test_decode_total_modulo_two_errors(word0, word1):
-    """Any word pair decodes or raises exactly one of the two errors."""
+@example(0x0000_0003, 0)    # DELAY, last, zero cycles
+def test_decode_total_modulo_three_errors(word0, word1):
+    """Any word pair decodes or raises exactly one of three errors."""
     try:
         d = dm.decode(dm.DescriptorWords(word0, word1))
     except dm.ReservedBitsSet:
@@ -120,20 +159,19 @@ def test_decode_total_modulo_two_errors(word0, word1):
         code = (word0 >> 1) & 0x1F
         assert code == 0 or code > 5
         return
-    # field widths match the legal ranges exactly, so everything decodes
-    # cleanly except a DELAY whose cycle count word is zero
-    if d.kind is dm.Kind.DELAY and word1 == 0:
-        with pytest.raises(dm.InvalidDescriptor, match="delay out of range: 0"):
-            dm.validate(d)
-    else:
-        dm.validate(d)
+    except dm.InvalidDescriptor as exc:
+        # field widths match the legal ranges exactly, so everything decodes
+        # cleanly except a DELAY whose cycle count word is zero
+        assert (word0 >> 1) & 0x1F == dm.Kind.DELAY and word1 == 0
+        assert (exc.field, str(exc)) == ("delay_cycles", "delay out of range: 0")
+        return
+    assert d.kind is not dm.Kind.DELAY or word1 != 0
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
 def test_decode_encode_idempotent(word0, word1):
     try:
         d = dm.decode(dm.DescriptorWords(word0, word1))
-        dm.validate(d)
     except dm.DescriptorError:
         return
     assert dm.decode(dm.encode(d)) == d

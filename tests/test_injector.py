@@ -132,6 +132,24 @@ def test_rst_bit_wins_over_other_bits():
     assert not inj.apb_read(CTRL_OFFSET) & CTRL_EN
 
 
+def test_an_enabled_injector_is_due_next_cycle():
+    """EN arms the engine, which starts at the next step."""
+    inj = Injector()
+    for off, val in pat.emit_apb_sequence(writes(1)):
+        inj.apb_write(off, val)
+    assert inj.next_event(7) == 8
+
+
+def test_an_injector_without_a_bus_cannot_issue():
+    inj = Injector("lone")
+    for off, val in pat.emit_apb_sequence([dm.Descriptor(dm.Kind.READ, last=True)]):
+        inj.apb_write(off, val)
+    inj.step(0)
+    inj.step(1)
+    with pytest.raises(RuntimeError, match="injector lone has no data bus"):
+        inj.step(2)
+
+
 # ---------------------------------------------------------------------------
 # engine timing
 # ---------------------------------------------------------------------------

@@ -79,8 +79,9 @@ def test_parse_range_errors(src, field):
     ("read_fix 0x100000000 reps=65", "reps", "reps", "reps out of range: 65"),
 ])
 def test_several_faults_name_the_first_in_validate_order(src, field, dsl_field, message):
-    """validate checks kind, size_bytes, reps, address, delay_cycles in that
-    order; encode, the DSL and an inline topology all name its first fault."""
+    """A Descriptor checks kind, size_bytes, reps, address, delay_cycles in
+    that order; code, the DSL and an inline topology all name its first
+    fault."""
     head, address, *params = src.split()
     values = {"address": int(address, 16)}
     for param in params:
