@@ -264,7 +264,7 @@ def _build(spec, values, path):
 
 
 def _load_inline_descriptors(raw, path) -> list[dm.Descriptor]:
-    if not isinstance(raw, list) or not raw:
+    if not isinstance(raw, list):
         raise ConfigError(path, "expected a non-empty list of descriptors")
     statements = []
     for i, entry in enumerate(raw):
@@ -356,7 +356,8 @@ def load_topology(source) -> Topology:
 # ---------------------------------------------------------------------------
 
 class Victim:
-    """Closed-loop synthetic core issuing a fixed access pattern."""
+    """Closed-loop synthetic core: access k issues at the first step at or
+    after its slot k*period that finds access k-1 complete."""
 
     def __init__(self, name: str, spec: VictimSpec, bus, master_id: int):
         self.name = name
@@ -365,7 +366,6 @@ class Victim:
         self.master_id = master_id
         self.issued = 0
         self.pending = None
-        self.ready_cycle = 0
         self.paced_at = -1    # last issue that waited for its k*period slot
 
     @property
@@ -374,25 +374,23 @@ class Victim:
         return self.issued >= self.spec.count and self.pending is None
 
     def step(self, now: int):
-        if self.pending is not None:
+        idle = self.pending is None     # so an issue now waited for its slot
+        if not idle:
             if not self.pending.done:
                 return
-            self.ready_cycle = self.pending.complete_cycle
             self.pending = None
-        if self.issued < self.spec.count:
-            slot = self.issued * self.spec.period
-            if now >= max(slot, self.ready_cycle):
-                if slot > self.ready_cycle:
-                    self.paced_at = now
-                self.pending = self.bus.submit(self.master_id, self.spec.kind,
-                                               self.spec.address, self.spec.size_bytes,
-                                               now)
-                self.issued += 1
+        if self.issued < self.spec.count and now >= self.issued * self.spec.period:
+            if idle:
+                self.paced_at = now
+            self.pending = self.bus.submit(self.master_id, self.spec.kind,
+                                           self.spec.address, self.spec.size_bytes, now)
+            self.issued += 1
 
     def next_event(self, now: int) -> int | None:
+        """The next slot: later than now, as a step at now issues once it is due."""
         if self.pending is not None or self.terminal:
             return None
-        return max(now + 1, self.issued * self.spec.period, self.ready_cycle)
+        return self.issued * self.spec.period
 
     def state(self, now: int) -> tuple:
         """Relative state (bar a pending access's slot: see room), and issues so far."""
@@ -411,9 +409,7 @@ class Victim:
         return (self.spec.count - self.issued) // n - 1
 
     def shift(self, k: int, issued: int, cycles: int):
-        if self.issued > issued:    # a finished victim stays as it is
-            self.ready_cycle += k * cycles
-            self.issued += k * (self.issued - issued)
+        self.issued += k * (self.issued - issued)
 
 
 class InjectorHost:
@@ -445,10 +441,8 @@ class InjectorHost:
         if self.spec.program_via == "data_bus":
             # Each configuration write is first an ordinary write
             # transaction on the shared bus, issued back to back.
-            if self._prog_txn is not None:
-                if not self._prog_txn.done:
-                    return False
-                self._prog_txn = None
+            if self._prog_txn is not None and not self._prog_txn.done:
+                return False
             if self._prog_index < len(self.sequence):
                 offset, _ = self.sequence[self._prog_index]
                 self._prog_index += 1
@@ -623,7 +617,7 @@ class Simulation:
         program_at wakeup are held relative to t."""
         bus, masters, t = part.bus, part.masters.values(), part.last
         states = [m.state(t) for m in masters]      # (relative state, progress) each
-        key = (bus.state(t), tuple(sorted(part.live)), tuple(s for s, _ in states),
+        key = (bus.state(t), tuple(s for s, _ in states),
                tuple(sorted({(c - t, i) for c, i in part.wakeups})))
         seen = part.seen.get(key)
         part.seen[key] = (t, bus.next_id, len(bus.completed), [p for _, p in states])

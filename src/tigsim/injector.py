@@ -97,8 +97,9 @@ def _decode_words(words: tuple[int, int]) -> dm.Descriptor | str:
 
 class _Slot:
     """The prefetched descriptor: its buffer words (None past the buffer
-    end), its decoded form (None until decoded), and the cycle at which
-    the next stage may take it."""
+    end), its decoded form (None until decoded), and the cycle after its
+    fetch, from which decode may take it.  Execute takes a decoded slot at
+    the next step: a step runs execute before decode."""
 
     __slots__ = ("index", "words", "desc", "ready_at")
 
@@ -236,8 +237,9 @@ class Injector:
         )
 
     def state(self, now: int) -> tuple:
-        """What decides the engine's future, buffer aside, relative to ``now``."""
-        nxt, st = self._next, self._exec
+        """What decides the engine's future, buffer aside, relative to ``now``:
+        ERR halts the engine, so its stages then decide nothing."""
+        nxt, st = (None, None) if self._err else (self._next, self._exec)
         return (self._ctrl, self._armed, self._done, self._err, self._irq, self._errinfo,
                 nxt and (nxt.index, nxt.words, nxt.desc is None, nxt.ready_at - now),
                 st and (st.index, st.rep, st.addr, st.delay_end and st.delay_end - now))
@@ -371,14 +373,11 @@ class Injector:
             self._fail(slot.index, now, desc)
             return
         slot.desc = desc
-        slot.ready_at = now + 1
         if self.trace:
             self.trace.injector(now, self.name, "DECODE", f"idx={slot.index}")
 
     def _fail(self, index: int, now: int, reason: str):
         self._err = True
         self._errinfo = min(2 * index, 0xFFFFFFFF)
-        self._exec = None
-        self._next = None
         if self.trace:
             self.trace.injector(now, self.name, "CTRL", f"err idx={index} {reason}")

@@ -203,9 +203,6 @@ class Bus:
         return sum(max(0, min(t.complete_cycle, hi) - max(t.grant_cycle, lo))
                    for t in (*self.completed, *self._channels[0].granted))
 
-    def idle(self) -> bool:
-        return not any(ch.granted or ch.waiting for ch in self._channels)
-
     def state(self, now: int) -> tuple:
         """What decides this bus's future: ids relative to ``next_id``, cycles
         to ``now``, a next free beat no earlier than a later grant can use."""

@@ -69,7 +69,7 @@ def drive_ahb(scenario: Scenario, horizon: int = 2000):
             txns[idx] = bus.submit(m, kind, 0x1000 * idx, size, now)
             nxt += 1
         bus.arbitrate(now)
-        if nxt == len(todo) and bus.idle():
+        if nxt == len(todo) and bus.next_event(now) is None:
             break
     assert all(t is not None and t.done for t in txns), "scenario did not drain"
     return bus, txns
@@ -92,7 +92,7 @@ def drive_axi(scenario: Scenario, horizon: int = 2000):
             txns[idx] = bus.submit(m, kind, 0x1000 * idx, size, now)
             nxt += 1
         bus.arbitrate(now)
-        if nxt == len(todo) and bus.idle():
+        if nxt == len(todo) and bus.next_event(now) is None:
             break
     assert all(t is not None and t.done for t in txns), "scenario did not drain"
     return bus, txns

@@ -104,6 +104,10 @@ def _set(cfg, path, value):
     ("buses", _DELETE, "buses: at least one bus required"),
     ("seed", -1, "seed: must be >= 0, got -1"),
     ("bogus", 1, "bogus: unknown key"),
+    ("masters.1.injector.descriptors", {"kind": "read"},
+     "masters[1].injector.descriptors: expected a non-empty list of descriptors"),
+    ("masters.1.injector.descriptors", [],
+     "masters[1].injector.descriptors: expected a non-empty list of descriptors"),
 ])
 def test_loader_error_messages_are_pinned(where, value, message):
     """One YAML fault per rule kind, with the whole message it ends in."""
@@ -177,6 +181,18 @@ def test_sequences_are_held_as_tuples():
     assert spec == replace(INJECTOR, ctrl=("loop",))
     topo = replace(TOPO, buses=list(TOPO.buses), masters=list(TOPO.masters))
     assert topo == TOPO
+
+
+def test_fields_at_their_maximum_build_and_run():
+    """The top of a bounded range is in it: a victim of 8192 bytes at
+    address 0xFFFFFFFF, from YAML and in code."""
+    victim = {"period": 1, "count": 1, "kind": "write", "address": 0xFFFFFFFF,
+              "size_bytes": 8192}
+    topo = load_topology({"buses": [{"name": "a", "kind": "ahb", "L": 1}],
+                          "masters": [{"name": "v", "bus": "a", "role": "victim",
+                                       "victim": victim}]})
+    assert topo.masters[0].victim == VictimSpec(**victim)
+    assert build(topo).run().masters["v"].total_bytes == 8192
 
 
 # ---------------------------------------------------------------------------

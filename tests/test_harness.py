@@ -829,17 +829,71 @@ def test_untraced_run_pair_equals_traced_run_pair(monkeypatch):
     assert outcomes[0] == outcomes[1]
 
 
+def count_skipping(monkeypatch) -> list[int]:
+    """[bus visits, skips, skipped cycles], counted as runs go."""
+    counts = [0, 0, 0]
+    begin_cycle, shift = Bus.begin_cycle, Bus.shift
+
+    def visit(bus, now):
+        counts[0] += 1
+        return begin_cycle(bus, now)
+
+    def skip(bus, k, cycles, since, first):
+        counts[1] += 1
+        counts[2] += k * cycles
+        return shift(bus, k, cycles, since, first)
+
+    monkeypatch.setattr(Bus, "begin_cycle", visit)
+    monkeypatch.setattr(Bus, "shift", skip)
+    return counts
+
+
 def test_run_pair_on_dual_bus_visits_a_bus_rarely(monkeypatch):
     """Each bus's state repeats within a few hundred cycles, so the pair
-    visits a bus at fewer than 200 of its 1.3 million cycles, as the
-    README says (142 when this bound was set)."""
-    visits = []
-    begin_cycle = Bus.begin_cycle
-    monkeypatch.setattr(Bus, "begin_cycle",
-                        lambda bus, now: (visits.append(now), begin_cycle(bus, now))[1])
+    visits a bus at 142 of its 1.3 million cycles, fewer than the 200 the
+    README gives, and skips the rest in 5 jumps."""
+    counts = count_skipping(monkeypatch)
     pair = run_pair(load_topology(SAMPLES / "dual_bus.yaml"))
     assert pair.contended.masters["core0"].txn_count == 7000
-    assert len(visits) < 200
+    assert counts == [142, 5, 2_370_574]
+
+
+def test_run_pair_with_nudged_periods_looks_again_after_a_skip(monkeypatch):
+    """The benchmark's dual_bus input for seed 6: victim periods 42 and 51
+    (counts 6950 and 998) and an AXI injector delay of 30.  A skip renews
+    a partition's budget of ANCHORS looks; without that renewal this pair
+    visits its buses 24,547 times."""
+    topo = load_topology(SAMPLES / "dual_bus.yaml")
+    nudged = {"core0": dict(period=42, count=6950), "core1": dict(period=51, count=998)}
+    masters = []
+    for m in topo.masters:
+        if m.name in nudged:
+            m = replace(m, victim=replace(m.victim, **nudged[m.name]))
+        elif m.name == "inj_axi":
+            read, delay = m.injector.descriptors
+            m = replace(m, injector=replace(
+                m.injector, descriptors=(read, replace(delay, delay_cycles=30))))
+        masters.append(m)
+    counts = count_skipping(monkeypatch)
+    pair = run_pair(replace(topo, masters=tuple(masters)))
+    assert pair.contended.masters["core0"].txn_count == 6950
+    assert counts == [315, 5, 2_365_254]
+
+
+def test_a_faulted_injector_does_not_stop_skipping(monkeypatch):
+    """A program with no descriptor marked last runs into zero words and
+    faults at their decode.  The victim beside it still repeats, so the
+    untraced run skips, and it ends as the traced run, which never skips."""
+    program = (dm.Descriptor(dm.Kind.WRITE, address=0x40, reps=2),
+               dm.Descriptor(dm.Kind.DELAY, delay_cycles=5))
+    topo = Topology(
+        buses=(BusSpec("b", "axi", 3, outstanding=2),),
+        masters=(MasterSpec("v", "b", "victim", victim=victim_spec(period=7, count=20000)),
+                 MasterSpec("i", "b", "injector", injector=InjectorSpec(program))))
+    counts = count_skipping(monkeypatch)
+    untraced = run_outcome(topo, traced=False)
+    assert counts == [15, 1, 139_965]
+    assert untraced == run_outcome(topo, traced=True)
 
 
 def test_an_aperiodic_partition_stops_looking_for_repeats(tmp_path):
@@ -911,17 +965,18 @@ STATE_ATTRIBUTES = {
         "pending": IN_KEY,
         "name": FIXED, "spec": FIXED, "bus": FIXED, "master_id": FIXED,
         "issued": PROGRESS,
-        "ready_cycle": "at most now once idle, so the slot decides the next issue",
         "paced_at": "read only by room, which vets a repeat",
     },
     harness.InjectorHost: {
         "programmed": IN_KEY, "_prog_index": IN_KEY, "injector": IN_KEY,
         "name": FIXED, "spec": FIXED, "sequence": FIXED,
-        "_prog_txn": "the write it waits on is in the bus state",
+        "_prog_txn": "the write it waits on is in the bus state; a finished one is none",
     },
     Injector: {
         "_ctrl": IN_KEY, "_armed": IN_KEY, "_done": IN_KEY, "_err": IN_KEY,
-        "_irq": IN_KEY, "_errinfo": IN_KEY, "_next": IN_KEY, "_exec": IN_KEY,
+        "_irq": IN_KEY, "_errinfo": IN_KEY,
+        "_next": "in the key unless ERR, which halts the engine",
+        "_exec": "in the key unless ERR, which halts the engine",
         "name": FIXED, "bus": FIXED, "master_id": FIXED, "trace": FIXED,
         "_completed": PROGRESS,
         "buffer": "buffer aside: written only while programming, whose progress is in the key",

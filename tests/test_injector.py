@@ -28,10 +28,10 @@ from tigsim.interconnect import Bus
 from tigsim.trace import TraceRecorder
 
 
-def make_rig(descriptors, flags=("pipe",), latency=1, policy="fixed_priority"):
+def make_rig(descriptors, flags=("pipe",), latency=1, policy="fixed_priority", trace=None):
     bus = Bus("ahb", "ahb", latency, policy=policy)
     master_id = bus.add_master("inj")
-    inj = Injector("inj", bus=bus, master_id=master_id)
+    inj = Injector("inj", bus=bus, master_id=master_id, trace=trace)
     for off, val in pat.emit_apb_sequence(descriptors, flags):
         inj.apb_write(off, val)
     return inj, bus
@@ -70,6 +70,8 @@ def test_buffer_write_read_back():
     assert inj.apb_read(0x400) == 0xDEADBEEF
     inj.apb_write(0x7FC, 123)
     assert inj.apb_read(0x7FC) == 123
+    inj.apb_write(0x400, 2**32 + 5)     # the port keeps the low 32 bits
+    assert inj.apb_read(0x400) == 5
 
 
 def test_cap_reads_capacity():
@@ -127,8 +129,9 @@ def test_reset_idempotent_and_clears_err():
 
 def test_rst_bit_wins_over_other_bits():
     inj = Injector()
+    inj.apb_write(CTRL_OFFSET, CTRL_LOOP | CTRL_IRQ_EN)
     inj.apb_write(CTRL_OFFSET, CTRL_RST | CTRL_EN | CTRL_LOOP)
-    assert inj.apb_read(CTRL_OFFSET) == CTRL_PIPE_EN
+    assert inj.apb_read(CTRL_OFFSET) == CTRL_PIPE_EN == 0x10
     assert not inj.apb_read(CTRL_OFFSET) & CTRL_EN
 
 
@@ -156,9 +159,14 @@ def test_an_injector_without_a_bus_cannot_issue():
 
 def test_single_write_timeline():
     """Occupancy 2 (L=1, 1 beat): fetch c0, decode c1, request c2,
-    busy c2..c3, DONE at c4."""
-    inj, bus = make_rig(writes(1))
+    busy c2..c3, DONE at c4, each logged in the injector trace."""
+    trace = TraceRecorder()
+    inj, bus = make_rig(writes(1), trace=trace)
     done_at = run_cycles(inj, bus, 20)
+    assert trace.injector_csv().splitlines()[1:] == [
+        "0,inj,CTRL,start", "0,inj,FETCH,idx=0", "1,inj,DECODE,idx=0",
+        "2,inj,EXEC,issue idx=0 rep=0 addr=0x40000000",
+        "4,inj,CTRL,done", "4,inj,EXEC,desc_done idx=0"]
     txn = bus.completed[0]
     assert txn.request_cycle == 2
     assert txn.grant_cycle == 2
@@ -287,11 +295,15 @@ def test_irq_flag_gated_by_irq_en():
 
 
 def test_decode_error_mid_program_reports_word_index():
+    """Descriptor 2 faults at its decode while 1 executes: STATUS shows
+    ERR and state ERROR (5), not BUSY."""
     descs = writes(3)
     inj, bus = make_rig(descs)
     inj.apb_write(BUFFER_BASE + 8 * 2, 0)  # clobber descriptor 2's word0
     run_cycles(inj, bus, 60)
-    assert inj.apb_read(STATUS_OFFSET) & STATUS_ERR
+    status = inj.apb_read(STATUS_OFFSET)
+    assert status & (STATUS_ERR | STATUS_BUSY | STATUS_DONE) == STATUS_ERR
+    assert (status >> 4) & 0xF == 5
     assert inj.apb_read(ERRINFO_OFFSET) == 4  # buffer word index 2*2
 
 
@@ -347,6 +359,28 @@ def test_reset_mid_run_halts_issuing():
         bus.arbitrate(now)
     assert len(bus.completed) == count_at_reset
     assert inj.apb_read(STATUS_OFFSET) == 0
+
+
+@pytest.mark.parametrize("value", [CTRL_PIPE_EN, CTRL_RST], ids=["clear_en", "rst"])
+@pytest.mark.parametrize("at", [0, 1, 3])
+def test_a_write_that_stops_the_engine_drops_its_pending_work(at, value):
+    """The write lands before the step at ``at``: 0 is before the first
+    step, 1 between the fetch of descriptor 0 and its decode, 3 between
+    the fetch of descriptor 1 and its decode while 0 executes.  No stage
+    runs after it, STATUS reads state IDLE, and no request follows."""
+    trace = TraceRecorder()
+    inj, bus = make_rig(writes(2), trace=trace)
+    for now in range(20):
+        if now == at:
+            inj.apb_write(CTRL_OFFSET, value)
+            requests = bus.next_id
+        bus.begin_cycle(now)
+        inj.step(now)
+        bus.arbitrate(now)
+    rows = [row.split(",") for row in trace.injector_csv().splitlines()[1:]]
+    assert [r for r in rows if int(r[0]) >= at and r[2] in ("FETCH", "DECODE")] == []
+    assert (inj.apb_read(STATUS_OFFSET) >> 4) & 0xF == 0
+    assert bus.next_id == requests
 
 
 def test_loop_refetches_buffer_each_wrap():
@@ -429,7 +463,7 @@ def test_rewritten_buffer_word_is_decoded_fresh(monkeypatch):
 ], ids=["kind-0", "kind-7", "delay-0"])
 def test_decode_stage_err_rows(words, reason):
     """A word pair that decodes to no valid descriptor stops the engine at
-    the decode stage, with one ERR row naming the fault."""
+    the decode stage, with one ERR row naming the fault and no DECODE row."""
     trace = TraceRecorder()
     inj = Injector(trace=trace)
     inj.apb_write(BUFFER_BASE, words[0])
@@ -439,8 +473,9 @@ def test_decode_stage_err_rows(words, reason):
         inj.step(now)
     assert inj.apb_read(STATUS_OFFSET) & STATUS_ERR
     assert inj.apb_read(ERRINFO_OFFSET) == 0
-    assert [row for row in trace.injector_rows if row[2] == "CTRL"] == [
-        (0, "inj", "CTRL", "start"), (1, "inj", "CTRL", f"err idx=0 {reason}")]
+    assert trace.injector_rows == [
+        (0, "inj", "CTRL", "start"), (0, "inj", "FETCH", "idx=0"),
+        (1, "inj", "CTRL", f"err idx=0 {reason}")]
 
 
 def run_on_axi(descs, flags, latency=1):
@@ -541,7 +576,7 @@ def test_running_off_the_buffer_end_errs_and_drains_the_bus():
         bus.arbitrate(now)
         if err_at is None and inj.apb_read(STATUS_OFFSET) & STATUS_ERR:
             err_at, in_flight = now, 128 - len(bus.completed)
-        if err_at is not None and bus.idle():
+        if err_at is not None and bus.next_event(now) is None:
             break
     status = inj.apb_read(STATUS_OFFSET)
     assert status & STATUS_ERR and not status & STATUS_BUSY

@@ -14,7 +14,7 @@ def drive(bus, events, horizon=200):
         for m, kind, size in events.get(now, ()):
             txns.append(bus.submit(m, kind, 0x1000 * len(txns), size, now))
         bus.arbitrate(now)
-        if now > max(events) and bus.idle():
+        if now > max(events) and bus.next_event(now) is None:
             break
     return txns
 
@@ -243,7 +243,7 @@ def test_axi_next_event_waits_for_a_retirement_when_every_waiter_is_capped():
             if skip:
                 now = bus.next_event(now)
             else:
-                now = None if bus.idle() else now + 1
+                now = None if bus.next_event(now) is None else now + 1
         return [(t.grant_cycle, t.complete_cycle) for t in txns], visits
 
     skipped, visits = saturate(skip=True)
