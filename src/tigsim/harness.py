@@ -50,7 +50,7 @@ import yaml
 
 from . import descriptors as dm
 from . import pattern as pat
-from .injector import Injector
+from .injector import STATUS_DONE, STATUS_OFFSET, Injector
 from .interconnect import FIXED_PRIORITY, KINDS, POLICIES, Bus
 from .metrics import MasterMetrics, MetricsRecord
 from .trace import TraceRecorder
@@ -166,6 +166,8 @@ class InjectorSpec(_Checked):
         if not isinstance(descs, (list, tuple)) or not descs or not all(
                 isinstance(d, dm.Descriptor) for d in descs):
             raise ConfigError("descriptors", "expected a non-empty list of descriptors")
+        if not descs[-1].last:
+            raise ConfigError("descriptors", "the final descriptor must be marked last")
         object.__setattr__(self, "ctrl", tuple(self.ctrl))
         object.__setattr__(self, "descriptors", tuple(descs))
 
@@ -428,7 +430,10 @@ class InjectorHost:
     @property
     def terminal(self) -> bool:
         """True when this host can never block run() termination."""
-        return "loop" in self.spec.ctrl or self.injector.done
+        return "loop" in self.spec.ctrl or bool(self._status() & STATUS_DONE)
+
+    def _status(self) -> int:
+        return self.injector.apb_read(STATUS_OFFSET)
 
     def step(self, now: int):
         if not self.programmed and not self._advance_programming(now):
@@ -463,12 +468,13 @@ class InjectorHost:
         return self.injector.next_event(now)
 
     def state(self, now: int) -> tuple:
-        """Relative state, programming progress included, and descriptors done."""
+        """Relative state, programming progress included, and descriptors
+        done, read from STATUS bits 31:16 (saturating as they do)."""
         return ((self.programmed, self._prog_index, self.injector.state(now)),
-                self.injector.completed_count)
+                self._status() >> 16)
 
     def shift(self, k: int, completed: int, cycles: int):
-        self.injector.shift(k * (self.injector.completed_count - completed), k * cycles)
+        self.injector.shift(k * ((self._status() >> 16) - completed), k * cycles)
 
 
 # ---------------------------------------------------------------------------

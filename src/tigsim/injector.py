@@ -19,20 +19,21 @@ Register map (configuration-port byte offsets; see register-map.md):
 Reads of undefined offsets return 0; writes to read-only or undefined
 offsets are ignored; offsets at or beyond 0x800 raise OffsetOutOfRange.
 
-Execution engine.  Descriptors pass through fetch (1 cycle), decode
-(1 cycle), and execute.  Execute presents one data-bus request per
-repetition, back to back, or counts down delay cycles for DELAY.  The
-engine holds one prefetch slot beside the executing descriptor: a fetch
-fills the slot with the buffer words, decode turns them into a
-descriptor one cycle later, and execute takes it from the slot one cycle
-after that.  In pipelined mode (PIPE_EN=1) the fetch of descriptor i+1
-happens when i starts executing, so consecutive descriptors issue with
-no idle gap whenever execution lasts at least two cycles.  In legacy
-mode the fetch of i+1 happens when i retires, which costs a two-cycle
-bubble between descriptors.  Any retirement with nothing prefetched
-fetches, so PIPE_EN and LOOP may change mid-run.  Invalid descriptors
-set ERR and halt injection.  With LOOP set the program wraps from the
-last descriptor back to index 0 and DONE is never raised.
+Execution engine.  Descriptors pass through fetch (1 cycle), decode (1
+cycle), and execute.  Execute presents one data-bus request per
+repetition, back to back, or counts down delay cycles for DELAY.  One
+record carries a descriptor through the stages: a fetch makes it from
+the buffer words, decode adds the descriptor one cycle later, and
+execute takes the same record one cycle after that and counts
+repetitions on it.  At most one fetched record waits beside the
+executing one.  In pipelined mode (PIPE_EN=1) the fetch of descriptor
+i+1 happens when i starts executing, so consecutive descriptors issue
+with no idle gap whenever execution lasts at least two cycles.  In
+legacy mode the fetch of i+1 happens when i retires, which costs a
+two-cycle bubble between descriptors.  Any retirement with nothing
+prefetched fetches, so PIPE_EN and LOOP may change mid-run.  Invalid
+descriptors set ERR and halt injection.  With LOOP set the program wraps
+from the last descriptor back to index 0 and DONE is never raised.
 
 Timing reference (pipelined, one single-beat descriptor, bus occupancy
 2 cycles, enabled before cycle 0): fetch at cycle 0, decode at 1, bus
@@ -87,38 +88,22 @@ class CapacityExceeded(ValueError):
     """A descriptor program does not fit the 256-word buffer."""
 
 
-def _decode_words(words: tuple[int, int]) -> dm.Descriptor | str:
-    """The valid descriptor a word pair encodes, or why it encodes none."""
-    try:
-        return dm.decode(words)
-    except dm.DescriptorError as exc:
-        return str(exc)
+class _Stage:
+    """One descriptor in the engine.  A fetch makes it with its buffer words
+    (None past the buffer end) and the cycle after the fetch, from which
+    decode may take it; decode sets the descriptor and its first address;
+    execute takes the record as it is and counts repetitions, the pending
+    bus transaction and the end of a delay on it.  A step runs execute
+    before decode, so a decoded record starts at the next step."""
 
-
-class _Slot:
-    """The prefetched descriptor: its buffer words (None past the buffer
-    end), its decoded form (None until decoded), and the cycle after its
-    fetch, from which decode may take it.  Execute takes a decoded slot at
-    the next step: a step runs execute before decode."""
-
-    __slots__ = ("index", "words", "desc", "ready_at")
+    __slots__ = ("index", "words", "ready_at", "desc", "addr", "rep", "txn", "delay_end")
 
     def __init__(self, index, words, ready_at):
         self.index = index
         self.words = words
-        self.desc = None
         self.ready_at = ready_at
-
-
-class _Exec:
-    __slots__ = ("index", "desc", "rep", "addr", "txn", "delay_end")
-
-    def __init__(self, index, desc):
-        self.index = index
-        self.desc = desc
+        self.desc = None
         self.rep = 0
-        self.addr = desc.address
-        self.txn = None
         self.delay_end = None
 
 
@@ -135,7 +120,7 @@ class Injector:
         self.trace = trace
         self.buffer = [0] * BUFFER_WORDS
         self._ctrl = CTRL_RESET_VALUE
-        self._decoded: dict[tuple[int, int], dm.Descriptor | str] = {}
+        self._decoded = {None: "off buffer end"}    # words: descriptor, or why none
         self._clear_run_state()
 
     # -- configuration port -------------------------------------------------
@@ -179,7 +164,8 @@ class Injector:
         old = self._ctrl
         self._ctrl = value & CTRL_WRITABLE
         if value & CTRL_EN and not old & CTRL_EN:
-            self._start_program()
+            self._clear_run_state()
+            self._armed = True
         elif not value & CTRL_EN and old & CTRL_EN:
             # Disable freezes the engine; status flags are preserved.
             self._next = None
@@ -187,8 +173,8 @@ class Injector:
             self._armed = False
 
     def _clear_run_state(self):
-        self._next: _Slot | None = None
-        self._exec: _Exec | None = None
+        self._next: _Stage | None = None     # fetched, perhaps decoded
+        self._exec: _Stage | None = None     # executing
         self._armed = False
         self._done = False
         self._err = False
@@ -196,22 +182,9 @@ class Injector:
         self._errinfo = 0
         self._completed = 0
 
-    def _start_program(self):
-        self._clear_run_state()
-        self._armed = True
-
     # -- status -------------------------------------------------------------
-    # Software sees the engine only through CTRL, STATUS and ERRINFO.  The
-    # harness's injector host reads STATUS bit DONE and the completed count
-    # (bits 31:16) directly, as ``done`` and ``completed_count``.
-
-    @property
-    def done(self) -> bool:
-        return self._done
-
-    @property
-    def completed_count(self) -> int:
-        return self._completed
+    # Software, the harness's injector host included, sees the engine only
+    # through CTRL, STATUS and ERRINFO.
 
     def _fsm_code(self) -> int:
         if self._err:
@@ -237,9 +210,8 @@ class Injector:
         )
 
     def state(self, now: int) -> tuple:
-        """What decides the engine's future, buffer aside, relative to ``now``:
-        ERR halts the engine, so its stages then decide nothing."""
-        nxt, st = (None, None) if self._err else (self._next, self._exec)
+        """What decides the engine's future, buffer aside, relative to ``now``."""
+        nxt, st = self._next, self._exec
         return (self._ctrl, self._armed, self._done, self._err, self._irq, self._errinfo,
                 nxt and (nxt.index, nxt.words, nxt.desc is None, nxt.ready_at - now),
                 st and (st.index, st.rep, st.addr, st.delay_end and st.delay_end - now))
@@ -316,19 +288,19 @@ class Injector:
                 return
             if self._next is None:
                 # Legacy mode, or PIPE_EN/LOOP set since this descriptor
-                # started.  The fresh slot is not decoded: nothing starts below.
+                # started.  The fresh record is not decoded: nothing starts below.
                 self._fetch_desc(self._next_index(desc, st.index), now)
         # Start the prefetched descriptor once it is decoded and due.
         nxt = self._next
         if nxt is None or nxt.desc is None or nxt.ready_at > now:
             return
         self._next = None
-        self._exec = st = _Exec(nxt.index, nxt.desc)
+        self._exec = nxt
         if self._ctrl & CTRL_PIPE_EN:
             self._fetch_desc(self._next_index(nxt.desc, nxt.index), now)
-        self._issue(st, now)
+        self._issue(nxt, now)
 
-    def _issue(self, st: _Exec, now: int):
+    def _issue(self, st: _Stage, now: int):
         desc = st.desc
         if desc.kind is dm.Kind.DELAY:
             st.delay_end = now + desc.delay_cycles * desc.reps
@@ -352,29 +324,27 @@ class Injector:
     def _fetch_desc(self, index: int | None, now: int):
         if index is None:
             return
-        word_index = 2 * index
-        if word_index + 1 >= BUFFER_WORDS:
-            # Running off the buffer end surfaces as a decode-stage error.
-            words = None
-        else:
-            words = (self.buffer[word_index], self.buffer[word_index + 1])
-        self._next = _Slot(index, words, now + 1)
+        # Past the buffer end there are no words, and decode faults.
+        words = tuple(self.buffer[2 * index:2 * index + 2]) or None
+        self._next = _Stage(index, words, now + 1)
         if self.trace:
             self.trace.injector(now, self.name, "FETCH", f"idx={index}")
 
-    def _decode(self, slot: _Slot, now: int):
-        if slot.words is None:
-            self._fail(slot.index, now, "off buffer end")
-            return
-        desc = self._decoded.get(slot.words)
+    def _decode(self, st: _Stage, now: int):
+        desc = self._decoded.get(st.words)
         if desc is None:
-            desc = self._decoded[slot.words] = _decode_words(slot.words)
+            try:
+                desc = dm.decode(st.words)
+            except dm.DescriptorError as exc:
+                desc = str(exc)
+            self._decoded[st.words] = desc
         if isinstance(desc, str):
-            self._fail(slot.index, now, desc)
+            self._fail(st.index, now, desc)
             return
-        slot.desc = desc
+        st.desc = desc
+        st.addr = desc.address
         if self.trace:
-            self.trace.injector(now, self.name, "DECODE", f"idx={slot.index}")
+            self.trace.injector(now, self.name, "DECODE", f"idx={st.index}")
 
     def _fail(self, index: int, now: int, reason: str):
         self._err = True

@@ -146,6 +146,7 @@ TOPO = Topology(buses=(AHB, AXI), masters=(CORE, INJ))
     (lambda: replace(INJECTOR, ctrl=("bogus",)), "ctrl"),
     (lambda: replace(INJECTOR, descriptors=()), "descriptors"),
     (lambda: replace(INJECTOR, descriptors=("read",)), "descriptors"),
+    (lambda: replace(INJECTOR, descriptors=(dm.Descriptor(dm.Kind.READ_FIX),)), "descriptors"),
     (lambda: InjectorSpec(), "descriptors"),
     (lambda: replace(INJ, injector=replace(INJECTOR, descriptors=INJECTOR.descriptors * 129)),
      "injector"),

@@ -25,7 +25,7 @@ from tigsim.harness import (
     run,
     run_pair,
 )
-from tigsim.injector import ERRINFO_OFFSET, STATUS_OFFSET, Injector, _Exec, _Slot
+from tigsim.injector import ERRINFO_OFFSET, STATUS_DONE, STATUS_OFFSET, Injector, _Stage
 from tigsim.interconnect import Bus, _Channel
 from tigsim.metrics import emit_csv
 
@@ -642,7 +642,7 @@ def test_injector_finishes_nonloop_program():
     )
     sim = build(topo)
     rec = sim.run()
-    assert sim.injector("i").done
+    assert sim.injector("i").apb_read(STATUS_OFFSET) & STATUS_DONE
     assert rec.masters["i"].txn_count == 3
 
 
@@ -880,22 +880,6 @@ def test_run_pair_with_nudged_periods_looks_again_after_a_skip(monkeypatch):
     assert counts == [315, 5, 2_365_254]
 
 
-def test_a_faulted_injector_does_not_stop_skipping(monkeypatch):
-    """A program with no descriptor marked last runs into zero words and
-    faults at their decode.  The victim beside it still repeats, so the
-    untraced run skips, and it ends as the traced run, which never skips."""
-    program = (dm.Descriptor(dm.Kind.WRITE, address=0x40, reps=2),
-               dm.Descriptor(dm.Kind.DELAY, delay_cycles=5))
-    topo = Topology(
-        buses=(BusSpec("b", "axi", 3, outstanding=2),),
-        masters=(MasterSpec("v", "b", "victim", victim=victim_spec(period=7, count=20000)),
-                 MasterSpec("i", "b", "injector", injector=InjectorSpec(program))))
-    counts = count_skipping(monkeypatch)
-    untraced = run_outcome(topo, traced=False)
-    assert counts == [15, 1, 139_965]
-    assert untraced == run_outcome(topo, traced=True)
-
-
 def test_an_aperiodic_partition_stops_looking_for_repeats(tmp_path):
     """fanout_64's shape: per bus, 16 victims of random periods against 16
     looping injectors.  Their joint state does not repeat, so each bus
@@ -974,21 +958,21 @@ STATE_ATTRIBUTES = {
     },
     Injector: {
         "_ctrl": IN_KEY, "_armed": IN_KEY, "_done": IN_KEY, "_err": IN_KEY,
-        "_irq": IN_KEY, "_errinfo": IN_KEY,
-        "_next": "in the key unless ERR, which halts the engine",
-        "_exec": "in the key unless ERR, which halts the engine",
+        "_irq": IN_KEY, "_errinfo": IN_KEY, "_next": IN_KEY, "_exec": IN_KEY,
         "name": FIXED, "bus": FIXED, "master_id": FIXED, "trace": FIXED,
         "_completed": PROGRESS,
         "buffer": "buffer aside: written only while programming, whose progress is in the key",
         "_decoded": "a cache of decode by word pair, which changes no result",
     },
-    _Slot: {
-        "index": IN_KEY, "words": IN_KEY, "ready_at": IN_KEY,
+    _Stage: {
+        "index": IN_KEY,
+        "words": "in the key while fetched; then the words at index, in a buffer "
+                 "fixed once programmed",
+        "ready_at": "in the key while fetched; read by no stage after decode",
         "desc": "decoded from the words; the key holds whether it is",
-    },
-    _Exec: {
-        "index": IN_KEY, "rep": IN_KEY, "addr": IN_KEY, "delay_end": IN_KEY,
-        "desc": "the descriptor at index, in a buffer fixed once programmed",
+        "addr": "in the key while executing; before, the address of desc",
+        "rep": "in the key while executing; 0 before",
+        "delay_end": "in the key while executing; None before",
         "txn": "in the bus state until it retires, and the engine steps then",
     },
 }

@@ -47,6 +47,15 @@ def run_cycles(inj, bus, cycles, stop_when_done=True):
     return None
 
 
+def done(inj):
+    return bool(inj.apb_read(STATUS_OFFSET) & STATUS_DONE)
+
+
+def completed(inj):
+    """STATUS bits 31:16: descriptors retired, saturating at 0xFFFF."""
+    return inj.apb_read(STATUS_OFFSET) >> 16
+
+
 def writes(n, size=4, reps=1):
     return [dm.Descriptor(dm.Kind.WRITE, address=0x40000000 + 0x100 * i,
                           size_bytes=size, reps=reps, last=(i == n - 1))
@@ -250,10 +259,10 @@ def test_loop_wraps_without_done():
         bus.begin_cycle(now)
         inj.step(now)
         bus.arbitrate(now)
-    assert not inj.done
+    assert not done(inj)
     grants = [t.grant_cycle for t in bus.completed]
     assert grants == list(range(2, grants[-1] + 1, 2))  # still back to back
-    assert inj.completed_count == len(bus.completed)
+    assert completed(inj) == len(bus.completed)
 
 
 def test_loop_legacy_keeps_inter_descriptor_bubble():
@@ -273,9 +282,9 @@ def test_completed_count_saturates():
         bus.begin_cycle(now)
         inj.step(now)
         bus.arbitrate(now)
-        assert inj.completed_count >= last  # monotone up to saturation
-        last = inj.completed_count
-    assert inj.completed_count == 0xFFFF
+        assert completed(inj) >= last  # monotone up to saturation
+        last = completed(inj)
+    assert completed(inj) == 0xFFFF
 
 
 def test_irq_flag_set_on_flagged_descriptor():
@@ -337,10 +346,10 @@ def test_disable_freezes_reenable_restarts():
         bus.begin_cycle(now)
         inj.step(now)
         bus.arbitrate(now)
-        if inj.done:
+        if done(inj):
             break
-    assert inj.done
-    assert inj.completed_count == 4  # cleared on the rising edge, full rerun
+    assert done(inj)
+    assert completed(inj) == 4  # cleared on the rising edge, full rerun
     restart = bus.completed[issued_before]
     assert restart.request_cycle == 32  # fetch 30, decode 31, request 32
 
@@ -488,7 +497,7 @@ def run_on_axi(descs, flags, latency=1):
         bus.begin_cycle(now)
         inj.step(now)
         bus.arbitrate(now)
-        if inj.done:
+        if done(inj):
             break
     return bus.completed
 
@@ -607,7 +616,7 @@ def test_pipe_en_cleared_mid_descriptor_runs_each_descriptor_once():
     """The prefetched descriptor starts without a bubble; later ones pay
     the legacy bubble."""
     inj, txns, gaps = run_with_ctrl_write(writes(4), ("pipe",), 4, CTRL_EN)
-    assert inj.done
+    assert done(inj)
     assert [t.address for t in txns] == [0x40000000 + 0x100 * i for i in range(4)]
     assert gaps == [0, 2, 2]
 
@@ -616,7 +625,7 @@ def test_pipe_en_set_mid_descriptor_fetches_at_retirement():
     """Nothing was prefetched, so retirement fetches; later descriptors
     are prefetched and chain without a bubble."""
     inj, txns, gaps = run_with_ctrl_write(writes(4), (), 4, CTRL_EN | CTRL_PIPE_EN)
-    assert inj.done and len(txns) == 4
+    assert done(inj) and len(txns) == 4
     assert gaps == [2, 0, 0]
 
 
@@ -626,6 +635,15 @@ def test_loop_set_on_the_last_descriptor_wraps():
     assert inj.apb_read(STATUS_OFFSET) & (STATUS_DONE | STATUS_BUSY) == STATUS_BUSY
     assert len(txns) > 10
     assert gaps[:3] == [2, 0, 0]
+
+
+def test_loop_cleared_on_the_last_descriptor_ends_the_run():
+    """Under LOOP, descriptor 0 is prefetched again as it starts; with
+    LOOP cleared before it retires, the engine is DONE and the prefetched
+    copy never starts."""
+    inj, txns, _ = run_with_ctrl_write(writes(1), ("pipe", "loop"), 4, CTRL_EN | CTRL_PIPE_EN)
+    assert inj.apb_read(STATUS_OFFSET) & (STATUS_DONE | STATUS_BUSY) == STATUS_DONE
+    assert completed(inj) == 1 and len(txns) == 1
 
 
 def _raw_rig(seed, trace_recorder):
