@@ -23,9 +23,9 @@ non-looping masters finish; the run ends at the latest of those cycles,
 E, and every partition is advanced through its events up to E (up to
 the cycle limit if one never finishes).  Traced, it visits every event
 and gives the traces of ``step_cycle``; untraced, it also skips whole
-periods once a partition's state, relative to a visit at which its bus
-took a request, repeats.  All paths give identical metrics: identical
-topology in, identical metrics and trace bytes out.
+periods once a partition's key repeats: its bus's and masters' states,
+each relative to a visit at which its bus took a request, and nothing
+else.  All paths give identical metrics and trace bytes.
 
 A ``Topology`` is the whole configuration of a run, its name (the
 scenario label of the record), seed and cycle cap included; ``build``
@@ -436,42 +436,38 @@ class InjectorHost:
         return self.injector.apb_read(STATUS_OFFSET)
 
     def step(self, now: int):
-        if not self.programmed and not self._advance_programming(now):
-            return
+        """Program when due; the engine idles until the program's CTRL write sets EN."""
+        if not self.programmed and now >= self.spec.program_at:
+            self._program(now)
         self.injector.step(now)
 
-    def _advance_programming(self, now: int) -> bool:
-        if now < self.spec.program_at:
-            return False
+    def _program(self, now: int):
         if self.spec.program_via == "data_bus":
             # Each configuration write is first an ordinary write
             # transaction on the shared bus, issued back to back.
             if self._prog_txn is not None and not self._prog_txn.done:
-                return False
+                return
             if self._prog_index < len(self.sequence):
                 offset, _ = self.sequence[self._prog_index]
                 self._prog_index += 1
                 inj = self.injector
                 self._prog_txn = inj.bus.submit(
                     inj.master_id, "write", DATA_BUS_MMIO_BASE + offset, 4, now)
-                return False
+                return
         for offset, value in self.sequence:
             self.injector.apb_write(offset, value)
         self.programmed = True
-        return True
 
     def next_event(self, now: int) -> int | None:
-        if not self.programmed:
-            if now < self.spec.program_at:
-                return self.spec.program_at
-            return None  # waiting on a programming write; the bus reports it
-        return self.injector.next_event(now)
+        if not self.programmed and now < self.spec.program_at:
+            return self.spec.program_at
+        return self.injector.next_event(now)    # None until EN; writes retire on the bus
 
     def state(self, now: int) -> tuple:
-        """Relative state, programming progress included, and descriptors
-        done, read from STATUS bits 31:16 (saturating as they do)."""
-        return ((self.programmed, self._prog_index, self.injector.state(now)),
-                self._status() >> 16)
+        """Relative state (cycles to program_at while unprogrammed, write index,
+        engine), and descriptors done, from STATUS bits 31:16 (saturating)."""
+        wait = None if self.programmed else self.spec.program_at - now
+        return (wait, self._prog_index, self.injector.state(now)), self._status() >> 16
 
     def shift(self, k: int, completed: int, cycles: int):
         self.injector.shift(k * ((self._status() >> 16) - completed), k * cycles)
@@ -482,14 +478,11 @@ class InjectorHost:
 # ---------------------------------------------------------------------------
 
 class _Partition:
-    """One bus and its built masters (keyed by master id), with the heap of
-    (cycle, master id) wakeups, the masters that may still block
-    termination, the next and the last cycle visited, the anchors seen, how
-    many more to look at and the bus's next id at the last look.  It
-    shares no state."""
+    """One bus and its built masters (keyed by master id), sharing no state, with the
+    heap of (cycle, master id) wakeups, the masters that may still block termination,
+    the next and the last cycle visited, the anchors seen and how many more to see."""
 
-    __slots__ = ("bus", "masters", "wakeups", "live", "now", "last",
-                 "seen", "looks", "ids")
+    __slots__ = ("bus", "masters", "wakeups", "live", "now", "last", "seen", "looks")
 
     def __init__(self, bus):
         self.bus = bus
@@ -564,8 +557,8 @@ class Simulation:
         for part in parts:
             part.live = set(part.masters)
             part.wakeups = [(self.now, i) for i in part.masters]
-            part.now, part.last = self.now, self.now - 1
-            part.seen, part.looks, part.ids = {}, ANCHORS if self.trace is None else 0, 0
+            part.now = self.now
+            part.seen, part.looks = {}, ANCHORS if self.trace is None else 0
         ends = [self._advance(part, limit, settle=True) for part in parts]
         finished = None not in ends
         stop = max(ends) + 1 if finished else limit
@@ -586,7 +579,7 @@ class Simulation:
         begin_cycle, arbitrate = bus.begin_cycle, bus.arbitrate
         now = part.now
         while now is not None and now < stop:
-            due = set()
+            ids, due = bus.next_id, set()
             while wakeups and wakeups[0][0] == now:
                 due.add(heapq.heappop(wakeups)[1])
             retired = len(completed)
@@ -610,35 +603,35 @@ class Simulation:
             part.now = now = nxt
             if settle and not live:
                 return part.last
-            if part.looks and bus.next_id != part.ids:    # a submit since the last look
+            if part.looks and bus.next_id != ids:     # this visit's steps submitted
                 self._fast_forward(part, stop)
-                now, part.ids = part.now, bus.next_id
+                now = part.now
         return None
 
     def _fast_forward(self, part: _Partition, stop: int):
-        """At an anchor t (a visit with a submit) whose relative state was seen
-        at anchor t0, skip as many periods t - t0 as victims and stop allow.
-        No key repeats while a host programs: each write it submits raises its
-        write index, and the write it waits on (in the bus state) and its
-        program_at wakeup are held relative to t."""
-        bus, masters, t = part.bus, part.masters.values(), part.last
-        states = [m.state(t) for m in masters]      # (relative state, progress) each
-        key = (bus.state(t), tuple(s for s, _ in states),
-               tuple(sorted({(c - t, i) for c, i in part.wakeups})))
+        """At an anchor t (a visit with a submit) whose key was seen at anchor t0,
+        skip as many periods t - t0 as victims and stop allow.  The key is the bus's
+        and the masters' relative states; a skip shifts each by the progress it gave.
+        A live wakeup lies after t and is its master's next_event, which its state
+        fixes (a victim's slot, an engine's ready_at, delay_end or armed flag, a
+        host's program_at); any other is stale, its master woken early by a
+        retirement, and a step at an extra cycle changes nothing."""
+        members, t = [part.bus, *part.masters.values()], part.last
+        states = [m.state(t) for m in members]      # (relative state, progress) each
+        key = tuple(s for s, _ in states)
         seen = part.seen.get(key)
-        part.seen[key] = (t, bus.next_id, len(bus.completed), [p for _, p in states])
+        part.seen[key] = (t, [p for _, p in states])
         if seen is None:
             part.looks -= 1
             return
         part.looks = ANCHORS
-        t0, submitted, retired, progress = seen
+        t0, progress = seen
         cycles = t - t0
         k = min([(stop - 1 - t) // cycles - 1, *(
-            m.room(p, t0, cycles) for m, p in zip(masters, progress)
+            m.room(p, t0, cycles) for m, p in zip(members, progress)
             if isinstance(m, Victim) and m.issued > p)])
         if k > 0:
-            bus.shift(k, cycles, submitted, retired)
-            for m, p in zip(masters, progress):
+            for m, p in zip(members, progress):
                 m.shift(k, p, cycles)
             dt = k * cycles
             part.wakeups[:] = [(c + dt, i) for c, i in part.wakeups]

@@ -290,9 +290,9 @@ class Injector:
                 # Legacy mode, or PIPE_EN/LOOP set since this descriptor
                 # started.  The fresh record is not decoded: nothing starts below.
                 self._fetch_desc(self._next_index(desc, st.index), now)
-        # Start the prefetched descriptor once it is decoded and due.
+        # Start the prefetched descriptor once it is decoded (at an earlier step).
         nxt = self._next
-        if nxt is None or nxt.desc is None or nxt.ready_at > now:
+        if nxt is None or nxt.desc is None:
             return
         self._next = None
         self._exec = nxt

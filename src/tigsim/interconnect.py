@@ -204,19 +204,21 @@ class Bus:
                    for t in (*self.completed, *self._channels[0].granted))
 
     def state(self, now: int) -> tuple:
-        """What decides this bus's future: ids relative to ``next_id``, cycles
-        to ``now``, a next free beat no earlier than a later grant can use."""
+        """What decides this bus's future (ids relative to ``next_id``, cycles to
+        ``now``, a next free beat no earlier than a later grant can use), and
+        its progress: ``(next_id, len(completed))``."""
         def rel(c):
             return None if c is None else c - now
         return tuple((*[(t.txn_id - self.next_id, t.master_id, t.kind, t.address, t.beats,
                          rel(t.request_cycle), rel(t.grant_cycle), rel(t.complete_cycle))
                         for t in (*ch.granted, *[t for q in ch.queues for t in q])],
                       ch.rr_next, max(ch.next_beat_free - now, self.target.first_latency))
-                     for ch in self._channels)
+                     for ch in self._channels), (self.next_id, len(self.completed))
 
-    def shift(self, k: int, cycles: int, since: int, first: int):
-        """Repeat k times the period of ``cycles`` cycles ending now, which dealt
-        ids ``since`` on and retired ``completed[first:]``; move all on."""
+    def shift(self, k: int, progress: tuple, cycles: int):
+        """Repeat k times the ``cycles``-cycle period ending now, which began
+        when ``state`` gave ``progress``; move all on."""
+        since, first = progress
         ids, period = self.next_id - since, self.completed[first:]
         for j in range(1, k + 1):
             dt = j * cycles

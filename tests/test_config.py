@@ -108,6 +108,7 @@ def _set(cfg, path, value):
      "masters[1].injector.descriptors: expected a non-empty list of descriptors"),
     ("masters.1.injector.descriptors", [],
      "masters[1].injector.descriptors: expected a non-empty list of descriptors"),
+    ("masters.0.injector", None, "masters[0].injector: not allowed when role is 'victim'"),
 ])
 def test_loader_error_messages_are_pinned(where, value, message):
     """One YAML fault per rule kind, with the whole message it ends in."""

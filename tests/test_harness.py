@@ -745,17 +745,23 @@ def run_outcome(topo, traced):
     return outcome(sim, run_record(sim))
 
 
-@pytest.mark.parametrize("seed", range(200))
-def test_untraced_run_equals_traced_run_on_random_topology(seed, tmp_path):
-    """Long victims against looping injectors repeat their state, so the
-    untraced run skips periods that the traced run simulates."""
+def long_victims_topology(seed: int, pattern_dir: Path) -> Topology:
+    """random_topology's draw for seed, with 20-400 accesses per victim and a
+    cap of 5,000 or 40,000 cycles."""
     rng = random.Random(seed)
-    raw = random_topology(rng, tmp_path)
+    raw = random_topology(rng, pattern_dir)
     for master in raw["masters"]:
         if master["role"] == "victim":
             master["victim"]["count"] = rng.randint(20, 400)
     raw["max_cycles"] = rng.choice((5000, 40000))
-    topo = load_topology(raw)
+    return load_topology(raw)
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_untraced_run_equals_traced_run_on_random_topology(seed, tmp_path):
+    """Long victims against looping injectors repeat their state, so the
+    untraced run skips periods that the traced run simulates."""
+    topo = long_victims_topology(seed, tmp_path)
     assert run_outcome(topo, traced=False) == run_outcome(topo, traced=True)
 
 
@@ -838,10 +844,10 @@ def count_skipping(monkeypatch) -> list[int]:
         counts[0] += 1
         return begin_cycle(bus, now)
 
-    def skip(bus, k, cycles, since, first):
+    def skip(bus, k, progress, cycles):
         counts[1] += 1
         counts[2] += k * cycles
-        return shift(bus, k, cycles, since, first)
+        return shift(bus, k, progress, cycles)
 
     monkeypatch.setattr(Bus, "begin_cycle", visit)
     monkeypatch.setattr(Bus, "shift", skip)
@@ -878,6 +884,39 @@ def test_run_pair_with_nudged_periods_looks_again_after_a_skip(monkeypatch):
     pair = run_pair(replace(topo, masters=tuple(masters)))
     assert pair.contended.masters["core0"].txn_count == 6950
     assert counts == [315, 5, 2_365_254]
+
+
+def test_random_topologies_skip_as_pinned(monkeypatch, tmp_path):
+    """The 200 topologies of test_untraced_run_equals_traced_run_on_random_topology,
+    run untraced: their bus visits, skips and skipped cycles in all, and how
+    many seeds skip.  A change to the key or to the anchor rule can move these
+    counts without moving any output."""
+    counts = count_skipping(monkeypatch)
+    skipping = 0
+    for seed in range(200):
+        skips = counts[1]
+        run_record(build(long_victims_topology(seed, tmp_path)))
+        skipping += counts[1] > skips
+    assert counts == [173_808, 220, 601_671]
+    assert skipping == 120
+
+
+def test_a_skip_that_lands_inside_a_delay_moves_its_end(monkeypatch):
+    """The injector's period holds a 22-cycle DELAY that is still counting
+    down at the anchor a skip starts from, so the skip must move its end."""
+    read = dm.Descriptor(dm.Kind.READ_FIX, address=0x100, size_bytes=16)
+    program = (read, dm.Descriptor(dm.Kind.DELAY, delay_cycles=22),
+               replace(read, size_bytes=4), replace(read, last=True))
+    topo = Topology(
+        buses=(BusSpec("ahb0", "ahb", 2),),
+        masters=(MasterSpec("core0", "ahb0", "victim", victim=VictimSpec(
+                     period=9, count=188, kind="read", address=0)),
+                 MasterSpec("inj0", "ahb0", "injector", injector=InjectorSpec(
+                     program, ctrl=("loop", "pipe")))))
+    counts = count_skipping(monkeypatch)
+    untraced = run_outcome(topo, traced=False)
+    assert counts[1] >= 1
+    assert untraced == run_outcome(topo, traced=True)
 
 
 def test_an_aperiodic_partition_stops_looking_for_repeats(tmp_path):
