@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from pathlib import Path
+from collections.abc import Iterable
 
 from . import harness, metrics, pattern
 from .descriptors import encode_image
@@ -70,13 +70,18 @@ class _CannotWrite(Exception):
     pass
 
 
-def _write(path: str | None, data: str | bytes):
-    """Write data to path, or to stdout without one; text as UTF-8."""
+def _write(path: str | None, data: str | bytes | Iterable[str]):
+    """Write data to path, or to stdout without one: bytes as they are, text
+    (one str, or str chunks in order) as UTF-8."""
+    chunks = [data] if isinstance(data, (str, bytes)) else data
     if not path:
-        (sys.stdout if isinstance(data, str) else sys.stdout.buffer).write(data)
+        for chunk in chunks:
+            (sys.stdout if isinstance(chunk, str) else sys.stdout.buffer).write(chunk)
         return
     try:
-        Path(path).write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        with open(path, "wb") as out:
+            for chunk in chunks:
+                out.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
     except OSError as exc:
         raise _CannotWrite(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -133,9 +138,9 @@ def cmd_run(args) -> int:
 
     _write(args.out, metrics.emit_csv(records))
     if args.trace is not None:
-        _write(args.trace, sim.trace.bus_csv())
+        _write(args.trace, sim.trace.bus_chunks())
     if args.trace_injector is not None:
-        _write(args.trace_injector, sim.trace.injector_csv())
+        _write(args.trace_injector, sim.trace.injector_chunks())
     return code
 
 

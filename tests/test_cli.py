@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import hashlib
+import os
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import yaml
 
 from tigsim import harness
 from tigsim import pattern as pat
-from tigsim.cli import main
+from tigsim.cli import _write, main
 from tigsim.descriptors import encode_image
 from tigsim.injector import Injector
 
@@ -401,6 +402,28 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, flag, target, reason):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err == f"tigsim: cannot write {path}: {reason}\n"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("flag", ["--trace", "--trace-injector"])
+def test_a_trace_write_that_fails_after_open_exits_2(capsys, flag):
+    """The trace is longer than a file buffer, so a chunk's write fails."""
+    code, _, err = run_cli(capsys, "run", str(SAMPLES / "dual_bus.yaml"), "--max-cycles",
+                           "5000", flag, "/dev/full", "-o", os.devnull)
+    assert code == 2
+    assert err == ("tigsim: cycle limit exceeded; partial output written\n"
+                   "tigsim: cannot write /dev/full: No space left on device\n")
+
+
+def test_text_chunks_write_the_bytes_of_their_join(tmp_path, capsysbinary):
+    chunks = ["cycle,bus\n", "1,axi0\n2,é\n", "", "3,b\n"]
+    _write(None, "".join(chunks))
+    joined = capsysbinary.readouterr().out
+    assert joined == "".join(chunks).encode("utf-8")
+    _write(None, iter(chunks))
+    assert capsysbinary.readouterr().out == joined
+    _write(str(tmp_path / "t.csv"), iter(chunks))
+    assert (tmp_path / "t.csv").read_bytes() == joined
 
 
 def test_run_trace_injector_writes_the_injector_trace(tmp_path, capsys):
